@@ -5,7 +5,8 @@
 // nonzero if either
 //   * a metric regressed more than 25% against the checked-in baseline
 //     (bench/kernels_baseline.json), or
-//   * the packed-GEMM / bulk fp16-decode speedup floors are not met.
+//   * the packed-GEMM / bulk fp16-decode / fp16 gradient-path speedup
+//     floors are not met.
 // ZERO_BENCH_RELAX=1 downgrades failures to warnings (for noisy or
 // throttled machines).
 //
@@ -96,6 +97,24 @@ __attribute__((noinline)) void SeedFloatToHalf(const float* src, Half* dst,
                                                std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     dst[i] = Half::FromBits(SeedFromFloat(src[i]));
+  }
+}
+
+// The per-element fp16 gradient-path loops the bulk kernels replaced:
+// scaled gradient emission and the widen-add-narrow reduction.
+__attribute__((noinline)) void SeedScaledFloatToHalf(const float* src,
+                                                     Half* dst, std::size_t n,
+                                                     float scale) {
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = Half::FromBits(SeedFromFloat(src[i] * scale));
+  }
+}
+
+__attribute__((noinline)) void SeedHalfAddInto(Half* dst, const Half* src,
+                                               std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = Half::FromBits(SeedFromFloat(SeedToFloat(dst[i].bits()) +
+                                          SeedToFloat(src[i].bits())));
   }
 }
 
@@ -225,6 +244,24 @@ int main(int argc, char** argv) {
     rep.Add("float_to_half_seed_gelems", n / t / 1e9);
     t = BestSeconds([&] { zero::FloatToHalf(f.data(), h.data(), n); }, 9);
     rep.Add("float_to_half_bulk_gelems", n / t / 1e9);
+
+    // Gradient path. The add accumulates into `acc`, which starts at
+    // `h` (|x| < ~5) and stays finite over the repetitions.
+    const float scale = 128.0f;
+    t = BestSeconds(
+        [&] { SeedScaledFloatToHalf(f.data(), h.data(), n, scale); }, 9);
+    rep.Add("scaled_float_to_half_seed_gelems", n / t / 1e9);
+    t = BestSeconds(
+        [&] { zero::ScaledFloatToHalf(f.data(), h.data(), n, scale); }, 9);
+    rep.Add("scaled_float_to_half_gelems", n / t / 1e9);
+
+    zero::FloatToHalf(f.data(), h.data(), n);
+    std::vector<Half> acc = h;
+    t = BestSeconds([&] { SeedHalfAddInto(acc.data(), h.data(), n); }, 9);
+    rep.Add("half_add_into_seed_gelems", n / t / 1e9);
+    acc = h;
+    t = BestSeconds([&] { zero::HalfAddInto(acc.data(), h.data(), n); }, 9);
+    rep.Add("half_add_into_gelems", n / t / 1e9);
   }
 
   // ---- fused bias+GELU (vs the unfused kernel sequence) ----
@@ -276,8 +313,15 @@ int main(int argc, char** argv) {
                               rep.values["gemm512_nn_seed_gflops"];
   const double h2f_speedup = rep.values["half_to_float_bulk_gelems"] /
                              rep.values["half_to_float_seed_gelems"];
+  const double scaled_cast_speedup =
+      rep.values["scaled_float_to_half_gelems"] /
+      rep.values["scaled_float_to_half_seed_gelems"];
+  const double half_add_speedup = rep.values["half_add_into_gelems"] /
+                                  rep.values["half_add_into_seed_gelems"];
   rep.Add("speedup_gemm512_packed_vs_seed", gemm_speedup);
   rep.Add("speedup_half_to_float_vs_seed", h2f_speedup);
+  rep.Add("speedup_scaled_float_to_half_vs_seed", scaled_cast_speedup);
+  rep.Add("speedup_half_add_into_vs_seed", half_add_speedup);
 
   // ---- write the report ----
   {
@@ -306,6 +350,20 @@ int main(int argc, char** argv) {
   if (h2f_speedup < 5.0) {
     std::ostringstream os;
     os << "bulk HalfToFloat speedup " << h2f_speedup << "x < 5x floor";
+    gates.Fail(os.str());
+  }
+
+  // The fp16 gradient path must stay on the bulk kernels: a silent
+  // return to the per-element loops drops these ratios to ~1x.
+  if (scaled_cast_speedup < 5.0) {
+    std::ostringstream os;
+    os << "ScaledFloatToHalf speedup " << scaled_cast_speedup
+       << "x < 5x floor";
+    gates.Fail(os.str());
+  }
+  if (half_add_speedup < 5.0) {
+    std::ostringstream os;
+    os << "HalfAddInto speedup " << half_add_speedup << "x < 5x floor";
     gates.Fail(os.str());
   }
 

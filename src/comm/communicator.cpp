@@ -199,7 +199,7 @@ void CommRequest::Complete(std::vector<std::byte> msg) {
              "IsRecv size mismatch: expected " +
                  std::to_string(state_->out.size()) + ", got " +
                  std::to_string(msg.size()));
-  std::memcpy(state_->out.data(), msg.data(), msg.size());
+  if (!msg.empty()) std::memcpy(state_->out.data(), msg.data(), msg.size());
   state_->done = true;
 }
 

@@ -78,46 +78,55 @@ struct CommStats {
 };
 
 namespace detail {
-// Reduction arithmetic runs in the promoted type: Half promotes through
-// fp32 the way tensor-core reductions do; every wider type accumulates
-// natively.
-template <typename T>
-struct FpPromote {
-  using type = T;
-  static constexpr type Widen(T v) { return v; }
-  static constexpr T Narrow(type v) { return v; }
-};
-template <>
-struct FpPromote<Half> {
-  using type = float;
-  static float Widen(Half v) { return v.ToFloat(); }
-  static Half Narrow(float v) { return Half(v); }
-};
-
-// Element-wise accumulate src into dst in the promoted type.
+// Element-wise accumulate src into dst. Native types accumulate in
+// their own precision; Half is specialized below.
 template <typename T>
 inline void AccumulateInto(T* dst, const T* src, std::size_t n,
                            ReduceOp op) {
-  using P = FpPromote<T>;
   switch (op) {
     case ReduceOp::kSum:
     case ReduceOp::kAvg:
-      for (std::size_t i = 0; i < n; ++i)
-        dst[i] = P::Narrow(P::Widen(dst[i]) + P::Widen(src[i]));
+      for (std::size_t i = 0; i < n; ++i) dst[i] = dst[i] + src[i];
       break;
     case ReduceOp::kMax:
-      for (std::size_t i = 0; i < n; ++i)
-        dst[i] = P::Narrow(std::max(P::Widen(dst[i]), P::Widen(src[i])));
+      for (std::size_t i = 0; i < n; ++i) dst[i] = std::max(dst[i], src[i]);
       break;
   }
 }
 
+// Half reduces through fp32 the way tensor-core reductions do: the sum
+// runs on the bulk widen-add-narrow kernel. kMax keeps the scalar loop
+// (it is never on the training path).
+template <>
+inline void AccumulateInto<Half>(Half* dst, const Half* src, std::size_t n,
+                                 ReduceOp op) {
+  if (op != ReduceOp::kMax) {
+    HalfAddInto(dst, src, n);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    dst[i] = Half(std::max(dst[i].ToFloat(), src[i].ToFloat()));
+}
+
 template <typename T>
 inline void ScaleBy(T* dst, std::size_t n, double s) {
-  using P = FpPromote<T>;
   for (std::size_t i = 0; i < n; ++i)
-    dst[i] = P::Narrow(
-        static_cast<typename P::type>(P::Widen(dst[i]) * s));
+    dst[i] = static_cast<T>(dst[i] * s);
+}
+
+// dst[i] = Half(float(dst[i].ToFloat() * s)) through the bulk
+// converters, one stack block at a time.
+template <>
+inline void ScaleBy<Half>(Half* dst, std::size_t n, double s) {
+  constexpr std::size_t kBlock = 256;
+  float buf[kBlock];
+  for (std::size_t b = 0; b < n; b += kBlock) {
+    const std::size_t m = std::min(kBlock, n - b);
+    HalfToFloat(dst + b, buf, m);
+    for (std::size_t i = 0; i < m; ++i)
+      buf[i] = static_cast<float>(buf[i] * s);
+    FloatToHalf(buf, dst + b, m);
+  }
 }
 }  // namespace detail
 
@@ -221,7 +230,7 @@ class Communicator {
                "Recv size mismatch: expected " +
                    std::to_string(out.size_bytes()) + ", got " +
                    std::to_string(raw.size()));
-    std::memcpy(out.data(), raw.data(), raw.size());
+    if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
   }
 
   // ---- nonblocking point to point ----
@@ -281,8 +290,8 @@ class Communicator {
     FaultPoint("collective");
     const std::uint64_t seq = NextSeq();
     if (p > 1) RingReduceScatterInPlace(data, op, seq);
-    std::memcpy(out.data(), data.data() + chunk * static_cast<std::size_t>(rank()),
-                chunk * sizeof(T));
+    std::copy_n(data.data() + chunk * static_cast<std::size_t>(rank()), chunk,
+                out.data());
     if (op == ReduceOp::kAvg) detail::ScaleBy(out.data(), out.size(), 1.0 / p);
   }
 
@@ -295,8 +304,8 @@ class Communicator {
                "AllGather output size mismatch");
     TRACE_SPAN("comm/all_gather");
     FaultPoint("collective");
-    std::memcpy(out.data() + chunk.size() * static_cast<std::size_t>(rank()),
-                chunk.data(), chunk.size() * sizeof(T));
+    std::copy(chunk.begin(), chunk.end(),
+              out.begin() + chunk.size() * static_cast<std::size_t>(rank()));
     const std::uint64_t seq = NextSeq();
     if (p > 1) RingAllGatherInPlace(out, seq);
   }
@@ -543,7 +552,7 @@ void Communicator::RingAllGatherInPlace(std::span<T> data, std::uint64_t seq) {
          seq + static_cast<std::uint64_t>(s));
     staging.resize(re - rb);
     Recv(Prev(), std::span<T>(staging), seq + static_cast<std::uint64_t>(s));
-    std::memcpy(data.data() + rb, staging.data(), (re - rb) * sizeof(T));
+    std::copy(staging.begin(), staging.end(), data.begin() + rb);
   }
   ++stats_.collectives;
 }

@@ -1,7 +1,5 @@
 #include "comm/mailbox.hpp"
 
-#include "common/error.hpp"
-
 namespace zero::comm {
 
 void Mailbox::Deposit(int source, std::uint64_t tag,
@@ -23,24 +21,6 @@ void Mailbox::PopLocked(
   it->second.pop_front();
   if (it->second.empty()) queues_.erase(it);
   --pending_;
-}
-
-std::vector<std::byte> Mailbox::Take(int source, std::uint64_t tag) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const Key key{source, tag};
-  cv_.wait(lock, [&] {
-    if (shutdown_) return true;
-    auto it = queues_.find(key);
-    return it != queues_.end() && !it->second.empty();
-  });
-  auto it = queues_.find(key);
-  if (it == queues_.end() || it->second.empty()) {
-    // Only reachable via shutdown with no queued message.
-    throw CommError("mailbox shut down while blocked in Take");
-  }
-  std::vector<std::byte> msg;
-  PopLocked(it, msg);
-  return msg;
 }
 
 TakeStatus Mailbox::TakeFor(int source, std::uint64_t tag,

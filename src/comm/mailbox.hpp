@@ -1,8 +1,9 @@
 // Point-to-point message transport between in-process ranks.
 //
 // Each rank owns one Mailbox. A sender deposits a tagged byte buffer into
-// the receiver's box; Recv blocks until a message matching (source, tag)
-// arrives. This is the only synchronization primitive under the
+// the receiver's box; TakeFor blocks until a message matching
+// (source, tag) arrives, the deadline passes, or the box is shut down or
+// interrupted. This is the only synchronization primitive under the
 // collective library — everything above it is the same SPMD
 // message-passing structure an MPI/NCCL implementation would have.
 //
@@ -18,6 +19,9 @@
 //   - notify_all, not notify_one: distinct waiters wait on distinct
 //     (source, tag) keys, so a single-wakeup policy could wake the wrong
 //     waiter and strand the right one.
+//   - TakeFor is the only blocking entry point, and its predicate also
+//     reads shutdown_ and interrupts_: no waiter can outlive Shutdown or
+//     miss an Interrupt, even with kForever.
 #pragma once
 
 #include <chrono>
@@ -39,7 +43,7 @@ struct Message {
   std::vector<std::byte> payload;
 };
 
-// Outcome of a bounded/interruptible Take.
+// Outcome of a TakeFor.
 enum class TakeStatus : unsigned char {
   kOk,           // message delivered into `out`
   kTimeout,      // deadline expired with no matching message
@@ -49,8 +53,8 @@ enum class TakeStatus : unsigned char {
 
 class Mailbox {
  public:
-  // Sentinel timeout for TakeFor: wait forever (still wakes on
-  // Shutdown/Interrupt, unlike Take).
+  // Sentinel timeout for TakeFor: no deadline (still wakes on
+  // Shutdown/Interrupt).
   static constexpr std::chrono::nanoseconds kForever =
       std::chrono::nanoseconds::max();
 
@@ -62,13 +66,8 @@ class Mailbox {
   // down; late senders must not crash).
   void Deposit(int source, std::uint64_t tag, std::span<const std::byte> data);
 
-  // Blocks until a message with exactly this (source, tag) is available.
-  // Throws CommError if the box is shut down while (or before) blocking —
-  // the regression case for shutdown-while-blocked.
-  [[nodiscard]] std::vector<std::byte> Take(int source, std::uint64_t tag);
-
-  // Bounded, interruptible Take: waits up to `timeout` (kForever = no
-  // deadline) for a matching message. A queued message wins over a
+  // Waits up to `timeout` (kForever = no deadline) for a message with
+  // exactly this (source, tag). A queued message wins over a
   // concurrent shutdown/interrupt — delivery is never dropped on the
   // floor. kInterrupted reports that Interrupt() bumped the epoch during
   // the wait so the caller can re-check failure state and re-enter.
@@ -82,14 +81,13 @@ class Mailbox {
   [[nodiscard]] std::optional<std::vector<std::byte>> TryTake(
       int source, std::uint64_t tag);
 
-  // Wakes every blocked waiter: Take throws CommError, TakeFor returns
-  // kShutdown. Idempotent. Used at world teardown.
+  // Wakes every blocked TakeFor with kShutdown (and makes later waits
+  // return it at once when nothing is queued). Idempotent. Used at world
+  // teardown.
   void Shutdown();
 
   // Wakes every blocked TakeFor so it can re-check external failure
-  // state (dead peers, abort requests). Blocking Take is NOT woken — it
-  // predates the fault layer and keeps its pure semantics; detection
-  // paths must go through TakeFor.
+  // state (dead peers, abort requests).
   void Interrupt();
 
   [[nodiscard]] bool shut_down() const;

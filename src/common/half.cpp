@@ -162,4 +162,54 @@ void HalfToFloat(const Half* src, float* dst, std::size_t n) {
   for (; i < n; ++i) dst[i] = table[src[i].bits()];
 }
 
+// The gradient-path kernels below reuse the encode argument above
+// (VCVTPS2PH == FromFloat). Their decodes use VCVTPH2PS, which differs
+// from ToFloatImpl only by quieting signalling NaNs; every decoded value
+// feeds an fp32 add, which quiets a NaN operand anyway, so the results
+// match the scalar expressions. The fp32 multiply/add are the same
+// IEEE operations the scalar code performs (no contraction: there is
+// no multiply-add pair to fuse).
+void ScaledFloatToHalf(const float* src, Half* dst, std::size_t n,
+                       float scale) {
+  std::size_t i = 0;
+#if defined(__AVX512F__)
+  const __m512 s = _mm512_set1_ps(scale);
+  for (; i + 16 <= n; i += 16) {
+    const __m512 v = _mm512_mul_ps(_mm512_loadu_ps(src + i), s);
+    const __m256i h =
+        _mm512_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), h);
+  }
+#endif
+  for (; i < n; ++i) dst[i] = Half(src[i] * scale);
+}
+
+void HalfAddInto(Half* dst, const Half* src, std::size_t n) {
+  std::size_t i = 0;
+#if defined(__AVX512F__)
+  for (; i + 16 <= n; i += 16) {
+    const __m512 a = _mm512_cvtph_ps(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i)));
+    const __m512 b = _mm512_cvtph_ps(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i)));
+    const __m256i h = _mm512_cvtps_ph(
+        _mm512_add_ps(a, b), _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), h);
+  }
+#endif
+  for (; i < n; ++i) dst[i] = Half(dst[i].ToFloat() + src[i].ToFloat());
+}
+
+void HalfAddIntoFloat(float* dst, const Half* src, std::size_t n) {
+  std::size_t i = 0;
+#if defined(__AVX512F__)
+  for (; i + 16 <= n; i += 16) {
+    const __m512 b = _mm512_cvtph_ps(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i)));
+    _mm512_storeu_ps(dst + i, _mm512_add_ps(_mm512_loadu_ps(dst + i), b));
+  }
+#endif
+  for (; i < n; ++i) dst[i] += src[i].ToFloat();
+}
+
 }  // namespace zero

@@ -81,4 +81,18 @@ const float* HalfDecodeTable();
 void FloatToHalf(const float* src, Half* dst, std::size_t n);
 void HalfToFloat(const Half* src, float* dst, std::size_t n);
 
+// Bulk kernels of the fp16 gradient path (scaled gradient emission and
+// the reduction at the partition owner). Each is bit-identical to the
+// scalar expression in its comment whenever at most one operand of an
+// element is NaN; when both addends are NaN the result is a NaN, but
+// which payload survives is unspecified (the scalar compiler chooses
+// the operand order of the add, and x86 returns the first NaN).
+//   ScaledFloatToHalf: dst[i] = Half(src[i] * scale)
+//   HalfAddInto:       dst[i] = Half(dst[i].ToFloat() + src[i].ToFloat())
+//   HalfAddIntoFloat:  dst[i] += src[i].ToFloat()
+void ScaledFloatToHalf(const float* src, Half* dst, std::size_t n,
+                       float scale);
+void HalfAddInto(Half* dst, const Half* src, std::size_t n);
+void HalfAddIntoFloat(float* dst, const Half* src, std::size_t n);
+
 }  // namespace zero

@@ -230,9 +230,7 @@ void ZeroDpEngine::AccumulateReduced() {
   if (cfg_.fp16) {
     std::span<const Half> src = strategy_->ReducedF16();
     ZERO_CHECK(src.size() == acc.size(), "accumulator size mismatch");
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-      acc[i] += src[i].ToFloat();
-    }
+    HalfAddIntoFloat(acc.data(), src.data(), acc.size());
   } else {
     std::span<const float> src = strategy_->ReducedF32();
     ZERO_CHECK(src.size() == acc.size(), "accumulator size mismatch");

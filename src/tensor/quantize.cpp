@@ -148,23 +148,33 @@ void DecodeBlock(const std::int8_t* codes, std::int64_t len, float s,
   }
 }
 
+// The wire is a byte buffer with no alignment guarantee (a gathered
+// wire packs odd-sized rank slots back to back), so the fp16 scales are
+// accessed bytewise.
 struct WireView {
-  Half* scales;
+  std::byte* scales;
   std::int8_t* codes;
+  void SetScale(std::int64_t b, std::uint16_t bits) const {
+    std::memcpy(scales + 2 * b, &bits, sizeof(bits));
+  }
 };
 WireView ViewWire(std::byte* wire, std::int64_t n, std::int64_t block) {
-  return {reinterpret_cast<Half*>(wire),
+  return {wire,
           reinterpret_cast<std::int8_t*>(wire + 2 * QuantBlocks(n, block))};
 }
 struct ConstWireView {
-  const Half* scales;
+  const std::byte* scales;
   const std::int8_t* codes;
+  [[nodiscard]] float Scale(std::int64_t b) const {
+    std::uint16_t bits;
+    std::memcpy(&bits, scales + 2 * b, sizeof(bits));
+    return Half::FromBits(bits).ToFloat();
+  }
 };
 ConstWireView ViewWire(const std::byte* wire, std::int64_t n,
                        std::int64_t block) {
-  return {reinterpret_cast<const Half*>(wire),
-          reinterpret_cast<const std::int8_t*>(wire +
-                                               2 * QuantBlocks(n, block))};
+  return {wire, reinterpret_cast<const std::int8_t*>(
+                    wire + 2 * QuantBlocks(n, block))};
 }
 
 void CheckShape(std::int64_t n, std::int64_t block) {
@@ -183,7 +193,7 @@ void QuantizeF32Impl(const float* src, std::int64_t n, std::int64_t block,
     const std::int64_t off = b * block;
     const std::int64_t len = std::min(block, n - off);
     const BlockClass c = ClassifyBlock(src + off, len);
-    w.scales[b] = Half::FromBits(c.bits);
+    w.SetScale(b, c.bits);
     switch (c.kind) {
       case BlockClass::kZero:
         std::memset(w.codes + off, 0, static_cast<std::size_t>(len));
@@ -207,7 +217,7 @@ void DequantizeF32Impl(const std::byte* wire, std::int64_t n,
   for (std::int64_t b = 0; b < blocks; ++b) {
     const std::int64_t off = b * block;
     const std::int64_t len = std::min(block, n - off);
-    DecodeBlock<kAdd>(w.codes + off, len, w.scales[b].ToFloat(), dst + off);
+    DecodeBlock<kAdd>(w.codes + off, len, w.Scale(b), dst + off);
   }
 }
 
@@ -243,7 +253,7 @@ void QuantizeHalf(const Half* src, std::int64_t n, std::int64_t block,
     const std::int64_t len = std::min(block, n - off);
     CastHalfToFloat(src + off, buf, len);
     const BlockClass c = ClassifyBlock(buf, len);
-    w.scales[b] = Half::FromBits(c.bits);
+    w.SetScale(b, c.bits);
     switch (c.kind) {
       case BlockClass::kZero:
         std::memset(w.codes + off, 0, static_cast<std::size_t>(len));
@@ -268,7 +278,7 @@ void DequantizeHalf(const std::byte* wire, std::int64_t n, std::int64_t block,
   for (std::int64_t b = 0; b < blocks; ++b) {
     const std::int64_t off = b * block;
     const std::int64_t len = std::min(block, n - off);
-    const float s = w.scales[b].ToFloat();
+    const float s = w.Scale(b);
     DecodeBlock<false>(w.codes + off, len, s, buf);
     // The fp16 scale rounds amax/127 either way, so 127*s can exceed the
     // largest finite fp16 (65504) by up to half a scale ulp and the
@@ -339,7 +349,7 @@ void QuantizeF32Scalar(const float* src, std::int64_t n, std::int64_t block,
     const std::int64_t off = b * block;
     const std::int64_t len = std::min(block, n - off);
     const BlockClass c = ClassifyBlockScalar(src + off, len);
-    w.scales[b] = Half::FromBits(c.bits);
+    w.SetScale(b, c.bits);
     if (c.kind == BlockClass::kZero) {
       std::memset(w.codes + off, 0, static_cast<std::size_t>(len));
     } else if (c.kind == BlockClass::kPoison) {
@@ -363,7 +373,7 @@ void DequantizeF32Scalar(const std::byte* wire, std::int64_t n,
   for (std::int64_t b = 0; b < blocks; ++b) {
     const std::int64_t off = b * block;
     const std::int64_t len = std::min(block, n - off);
-    const float s = w.scales[b].ToFloat();
+    const float s = w.Scale(b);
     for (std::int64_t i = 0; i < len; ++i) {
       dst[off + i] = static_cast<float>(w.codes[off + i]) * s;
     }
@@ -378,7 +388,7 @@ void DequantizeAddF32Scalar(const std::byte* wire, std::int64_t n,
   for (std::int64_t b = 0; b < blocks; ++b) {
     const std::int64_t off = b * block;
     const std::int64_t len = std::min(block, n - off);
-    const float s = w.scales[b].ToFloat();
+    const float s = w.Scale(b);
     for (std::int64_t i = 0; i < len; ++i) {
       dst[off + i] = dst[off + i] + static_cast<float>(w.codes[off + i]) * s;
     }

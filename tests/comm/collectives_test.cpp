@@ -368,6 +368,28 @@ TEST_P(CollectivesTest, BackToBackCollectivesDoNotCrossTalk) {
   });
 }
 
+TEST_P(CollectivesTest, EmptyChunkAllGatherAndReduceScatter) {
+  // Zero elements per rank: the collectives still run their ring
+  // schedule (tags stay aligned) and copy nothing.
+  const int p = GetParam();
+  World world(p);
+  world.Run([&](RankContext& ctx) {
+    Communicator comm = Communicator::WholeWorld(ctx);
+    std::vector<float> chunk, gathered, data, out;
+    comm.AllGather(std::span<const float>(chunk), std::span<float>(gathered));
+    comm.ReduceScatter(std::span<float>(data), std::span<float>(out),
+                       ReduceOp::kAvg);
+    std::vector<Half> hdata, hout;
+    comm.ReduceScatter(std::span<Half>(hdata), std::span<Half>(hout),
+                       ReduceOp::kSum);
+    comm.AllReduce(std::span<Half>(hdata), ReduceOp::kAvg);
+    // A real collective after the empty ones still lines up.
+    std::vector<float> v(3, 1.0f);
+    comm.AllReduce(std::span<float>(v), ReduceOp::kSum);
+    EXPECT_EQ(v[2], static_cast<float>(p));
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(WorldSizes, CollectivesTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
@@ -389,6 +411,40 @@ TEST(CommunicatorTest, PointToPointRoundTrip) {
       comm.Send(0, std::span<const float>(reply), 4);
     }
   });
+}
+
+TEST(CommunicatorTest, EmptyPointToPointMessage) {
+  World world(2);
+  world.Run([&](RankContext& ctx) {
+    Communicator comm = Communicator::WholeWorld(ctx);
+    std::vector<float> none;
+    if (ctx.rank == 0) {
+      comm.Send(1, std::span<const float>(none), 5);
+      comm.Send(1, std::span<const float>(none), 6);
+    } else {
+      comm.Recv(0, std::span<float>(none), 5);
+      CommRequest req = comm.IsRecv(0, std::span<float>(none), 6);
+      req.Wait();
+      EXPECT_TRUE(req.done());
+    }
+  });
+}
+
+TEST(CommDetailTest, HalfScaleByMatchesScalarExhaustively) {
+  // The kAvg scaling runs on the bulk converters; it must equal the
+  // scalar widen / multiply in double / narrow for every half pattern.
+  std::vector<Half> all(1u << 16);
+  for (std::uint32_t b = 0; b < (1u << 16); ++b) {
+    all[b] = Half::FromBits(static_cast<std::uint16_t>(b));
+  }
+  for (double s : {1.0 / 3.0, 0.25, 1.0 / 5.0}) {
+    std::vector<Half> got = all;
+    detail::ScaleBy(got.data(), got.size(), s);
+    for (std::uint32_t b = 0; b < (1u << 16); ++b) {
+      const Half want(static_cast<float>(all[b].ToFloat() * s));
+      ASSERT_EQ(got[b].bits(), want.bits()) << "bits " << b << " s " << s;
+    }
+  }
 }
 
 TEST(CommunicatorTest, ExceptionInRankPropagates) {

@@ -5,8 +5,6 @@
 #include <chrono>
 #include <thread>
 
-#include "common/error.hpp"
-
 namespace zero::comm {
 namespace {
 
@@ -16,12 +14,21 @@ std::vector<std::byte> Bytes(std::initializer_list<int> values) {
   return out;
 }
 
+// Unbounded wait for one message; the test fails unless it is delivered.
+std::vector<std::byte> TakeForever(Mailbox& box, int source,
+                                   std::uint64_t tag) {
+  std::vector<std::byte> out;
+  EXPECT_EQ(box.TakeFor(source, tag, Mailbox::kForever, out),
+            TakeStatus::kOk);
+  return out;
+}
+
 TEST(MailboxTest, DepositThenTake) {
   Mailbox box;
   auto payload = Bytes({1, 2, 3});
   box.Deposit(0, 7, payload);
   EXPECT_EQ(box.PendingCount(), 1u);
-  auto msg = box.Take(0, 7);
+  auto msg = TakeForever(box, 0, 7);
   EXPECT_EQ(msg, payload);
   EXPECT_EQ(box.PendingCount(), 0u);
 }
@@ -31,23 +38,23 @@ TEST(MailboxTest, MatchesSourceAndTagExactly) {
   box.Deposit(1, 5, Bytes({10}));
   box.Deposit(2, 5, Bytes({20}));
   box.Deposit(1, 6, Bytes({30}));
-  EXPECT_EQ(box.Take(2, 5), Bytes({20}));
-  EXPECT_EQ(box.Take(1, 6), Bytes({30}));
-  EXPECT_EQ(box.Take(1, 5), Bytes({10}));
+  EXPECT_EQ(TakeForever(box, 2, 5), Bytes({20}));
+  EXPECT_EQ(TakeForever(box, 1, 6), Bytes({30}));
+  EXPECT_EQ(TakeForever(box, 1, 5), Bytes({10}));
 }
 
 TEST(MailboxTest, FifoPerKey) {
   Mailbox box;
   box.Deposit(0, 1, Bytes({1}));
   box.Deposit(0, 1, Bytes({2}));
-  EXPECT_EQ(box.Take(0, 1), Bytes({1}));
-  EXPECT_EQ(box.Take(0, 1), Bytes({2}));
+  EXPECT_EQ(TakeForever(box, 0, 1), Bytes({1}));
+  EXPECT_EQ(TakeForever(box, 0, 1), Bytes({2}));
 }
 
 TEST(MailboxTest, TakeBlocksUntilDeposit) {
   Mailbox box;
   std::vector<std::byte> got;
-  std::thread receiver([&] { got = box.Take(3, 9); });
+  std::thread receiver([&] { got = TakeForever(box, 3, 9); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   box.Deposit(3, 9, Bytes({42}));
   receiver.join();
@@ -59,7 +66,7 @@ TEST(MailboxTest, PayloadIsCopiedNotAliased) {
   std::vector<std::byte> payload = Bytes({7});
   box.Deposit(0, 0, payload);
   payload[0] = static_cast<std::byte>(99);
-  EXPECT_EQ(box.Take(0, 0), Bytes({7}));
+  EXPECT_EQ(TakeForever(box, 0, 0), Bytes({7}));
 }
 
 TEST(MailboxTest, TakeForDeliversQueuedMessageImmediately) {
@@ -91,18 +98,9 @@ TEST(MailboxTest, TakeForWakesOnConcurrentDeposit) {
   EXPECT_EQ(out, Bytes({9}));
 }
 
-// Regression: shutting down a mailbox with a blocked Take must wake the
-// waiter with CommError, not strand it (the shutdown-while-blocked race).
-TEST(MailboxTest, ShutdownWakesBlockedTake) {
-  Mailbox box;
-  std::thread receiver([&] {
-    EXPECT_THROW({ auto msg = box.Take(0, 1); (void)msg; }, CommError);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  box.Shutdown();
-  receiver.join();
-}
-
+// Regression: shutting down a mailbox with a blocked unbounded wait must
+// wake the waiter with kShutdown, not strand it (the
+// shutdown-while-blocked race).
 TEST(MailboxTest, ShutdownWakesBlockedTakeFor) {
   Mailbox box;
   std::vector<std::byte> out;
@@ -115,11 +113,13 @@ TEST(MailboxTest, ShutdownWakesBlockedTakeFor) {
   EXPECT_EQ(status, TakeStatus::kShutdown);
 }
 
-TEST(MailboxTest, TakeAfterShutdownThrowsImmediately) {
+TEST(MailboxTest, TakeAfterShutdownReturnsImmediately) {
   Mailbox box;
   box.Shutdown();
   EXPECT_TRUE(box.shut_down());
-  EXPECT_THROW({ auto msg = box.Take(0, 1); (void)msg; }, CommError);
+  std::vector<std::byte> out;
+  EXPECT_EQ(box.TakeFor(0, 1, Mailbox::kForever, out),
+            TakeStatus::kShutdown);
 }
 
 TEST(MailboxTest, QueuedMessageWinsOverShutdown) {
