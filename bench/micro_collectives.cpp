@@ -1,5 +1,7 @@
 // Micro benchmarks: throughput of the ring collectives that carry all
-// ZeRO-DP traffic, across world sizes and message sizes.
+// ZeRO-DP traffic, across world sizes and message sizes. Ranks are
+// threads, so every benchmark times wall clock (UseRealTime): the main
+// thread's CPU time would leave out the ranks' work and inflate bytes/s.
 #include <benchmark/benchmark.h>
 
 #include "comm/communicator.hpp"
@@ -25,6 +27,7 @@ void BM_AllReduce(benchmark::State& state) {
                           static_cast<std::int64_t>(n) * 4 * p);
 }
 BENCHMARK(BM_AllReduce)
+    ->UseRealTime()
     ->Args({2, 1 << 12})
     ->Args({4, 1 << 12})
     ->Args({4, 1 << 16})
@@ -47,7 +50,10 @@ void BM_ReduceScatter(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n) * 4 * p);
 }
-BENCHMARK(BM_ReduceScatter)->Args({4, 1 << 12})->Args({4, 1 << 16});
+BENCHMARK(BM_ReduceScatter)
+    ->UseRealTime()
+    ->Args({4, 1 << 12})
+    ->Args({4, 1 << 16});
 
 void BM_Broadcast(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
@@ -64,7 +70,10 @@ void BM_Broadcast(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n) * 4 * p);
 }
-BENCHMARK(BM_Broadcast)->Args({4, 1 << 12})->Args({8, 1 << 14});
+BENCHMARK(BM_Broadcast)
+    ->UseRealTime()
+    ->Args({4, 1 << 12})
+    ->Args({8, 1 << 14});
 
 void BM_HalfAllReduce(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
@@ -81,6 +90,6 @@ void BM_HalfAllReduce(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n) * 2 * p);
 }
-BENCHMARK(BM_HalfAllReduce)->Args({4, 1 << 14});
+BENCHMARK(BM_HalfAllReduce)->UseRealTime()->Args({4, 1 << 14});
 
 }  // namespace

@@ -91,12 +91,15 @@ std::vector<std::byte> Communicator::RecvBytes(int peer, std::uint64_t tag) {
   // critical-path analyzer (a message already queued costs ~nothing).
   TRACE_SPAN("comm/recv_wait");
   for (;;) {
+    // Read the interrupt epoch before the failure checks: a DeclareDead
+    // landing after them still ends the wait below (kInterrupted).
+    const std::uint64_t epoch = box.InterruptEpoch();
     // A queued message wins over failure state (checked inside TakeFor's
     // predicate too): drain what was delivered before unwinding, so a
     // completed send is never lost to a concurrent abort.
     if (w->health().IsDead(global_peer)) {
-      const TakeStatus st =
-          box.TakeFor(global_peer, full_tag, std::chrono::nanoseconds(0), msg);
+      const TakeStatus st = box.TakeFor(
+          global_peer, full_tag, std::chrono::nanoseconds(0), epoch, msg);
       if (st == TakeStatus::kOk) break;
       throw PeerFailedError(
           global_peer, "recv from rank " + std::to_string(global_peer) +
@@ -104,8 +107,8 @@ std::vector<std::byte> Communicator::RecvBytes(int peer, std::uint64_t tag) {
                            w->health().DeathReason(global_peer));
     }
     if (w->health().AbortRequested()) {
-      const TakeStatus st =
-          box.TakeFor(global_peer, full_tag, std::chrono::nanoseconds(0), msg);
+      const TakeStatus st = box.TakeFor(
+          global_peer, full_tag, std::chrono::nanoseconds(0), epoch, msg);
       if (st == TakeStatus::kOk) break;
       throw StepAbortedError("recv aborted on rank " +
                              std::to_string(ctx_->rank) +
@@ -118,7 +121,7 @@ std::vector<std::byte> Communicator::RecvBytes(int peer, std::uint64_t tag) {
         global_peer, full_tag,
         deadline_ns == 0 ? Mailbox::kForever
                          : std::chrono::nanoseconds(deadline_ns),
-        msg);
+        epoch, msg);
     if (st == TakeStatus::kOk) break;
     if (st == TakeStatus::kShutdown) {
       throw CommError("mailbox shut down during recv on rank " +
@@ -243,7 +246,9 @@ void CommRequest::Cancel() {
 std::uint64_t Communicator::BeginCollective(const char* site, int sub_ops) {
   FaultPoint(site);
   stats_.collectives += static_cast<std::uint64_t>(sub_ops);
-  return NextSeq();
+  const std::uint64_t seq = op_seq_;
+  op_seq_ += 2 * kStepStride;
+  return seq;
 }
 
 std::pair<std::size_t, std::size_t> Communicator::ChunkRange(
@@ -255,27 +260,6 @@ std::pair<std::size_t, std::size_t> Communicator::ChunkRange(
   const std::size_t begin = i * base + std::min(i, rem);
   const std::size_t len = base + (i < rem ? 1 : 0);
   return {begin, begin + len};
-}
-
-void Communicator::RingBroadcast(std::span<std::byte> data, int root,
-                                 std::uint64_t seq) {
-  const int p = size();
-  // Pipeline the message in p chunks around the ring rooted at `root`.
-  // Position q = distance from root along the ring.
-  const int q = Distance(root, rank());
-  for (int c = 0; c < p; ++c) {
-    auto [b, e] = ChunkRange(data.size(), c);
-    if (e == b) continue;
-    std::span<std::byte> chunk = data.subspan(b, e - b);
-    if (q != 0) {
-      Recv(Prev(), chunk, seq + static_cast<std::uint64_t>(c));
-    }
-    if (q != p - 1) {
-      Send(Next(), std::span<const std::byte>(chunk),
-           seq + static_cast<std::uint64_t>(c));
-    }
-  }
-  ++stats_.collectives;
 }
 
 }  // namespace zero::comm

@@ -9,9 +9,12 @@
 //     exactly the 2*Psi baseline-DP accounting of Sec 7.1.
 //   - Broadcast: ring-pipelined; per-rank volume ~= M, which is what
 //     makes the stage-3 schedule cost Psi per pass (Sec 7.2.2).
-//   - Reduce: ring accumulation ending at the root; per-rank send volume
-//     M — the primitive behind stage-2's bucketized "reduce at the
-//     partition owner".
+//
+// Each ring exists once, as a resumable state machine behind a
+// nonblocking launcher (IAllReduce / IReduceScatter / IAllGather /
+// IBroadcast, below the class). The blocking collectives are those
+// launchers waited at once, so blocking and nonblocking results are
+// bit-identical by construction.
 //
 // Every byte sent/received is counted in CommStats, so the paper's
 // communication-volume claims are verified by measurement in the tests
@@ -258,208 +261,36 @@ class Communicator {
   }
 
   // ---- collectives ----
+  // Each is its nonblocking twin (below the class) launched and waited
+  // at once: same ring, same tags, same CommStats accounting.
 
   // In-place sum/avg/max across the group. Any length.
   template <typename T>
-  void AllReduce(std::span<T> data, ReduceOp op = ReduceOp::kSum) {
-    TRACE_SPAN("comm/all_reduce");
-    FaultPoint("collective");
-    const std::uint64_t seq = NextSeq();
-    if (size() == 1) {
-      return;  // single rank: reduction is the identity
-    }
-    RingReduceScatterInPlace(data, op, seq);
-    RingAllGatherInPlace(data, seq + kStepStride);
-    if (op == ReduceOp::kAvg) {
-      detail::ScaleBy(data.data(), data.size(), 1.0 / size());
-    }
-  }
+  void AllReduce(std::span<T> data, ReduceOp op = ReduceOp::kSum);
 
   // data.size() must be divisible by size(); out.size() == data.size()/p.
   // On return, out holds this rank's fully reduced chunk. `data` is used
   // as scratch and left in an unspecified state.
   template <typename T>
   void ReduceScatter(std::span<T> data, std::span<T> out,
-                     ReduceOp op = ReduceOp::kSum) {
-    const int p = size();
-    ZERO_CHECK(data.size() % static_cast<std::size_t>(p) == 0,
-               "ReduceScatter length must divide evenly (pad first)");
-    const std::size_t chunk = data.size() / static_cast<std::size_t>(p);
-    ZERO_CHECK(out.size() == chunk, "ReduceScatter output size mismatch");
-    TRACE_SPAN("comm/reduce_scatter");
-    FaultPoint("collective");
-    const std::uint64_t seq = NextSeq();
-    if (p > 1) RingReduceScatterInPlace(data, op, seq);
-    std::copy_n(data.data() + chunk * static_cast<std::size_t>(rank()), chunk,
-                out.data());
-    if (op == ReduceOp::kAvg) detail::ScaleBy(out.data(), out.size(), 1.0 / p);
-  }
+                     ReduceOp op = ReduceOp::kSum);
 
   // out.size() must equal chunk.size() * p; rank i's chunk lands at
   // offset i*chunk.size().
   template <typename T>
-  void AllGather(std::span<const T> chunk, std::span<T> out) {
-    const int p = size();
-    ZERO_CHECK(out.size() == chunk.size() * static_cast<std::size_t>(p),
-               "AllGather output size mismatch");
-    TRACE_SPAN("comm/all_gather");
-    FaultPoint("collective");
-    std::copy(chunk.begin(), chunk.end(),
-              out.begin() + chunk.size() * static_cast<std::size_t>(rank()));
-    const std::uint64_t seq = NextSeq();
-    if (p > 1) RingAllGatherInPlace(out, seq);
-  }
+  void AllGather(std::span<const T> chunk, std::span<T> out);
 
   // Ring-pipelined broadcast from group rank `root`; per-rank volume ~= M.
   template <typename T>
-  void Broadcast(std::span<T> data, int root) {
-    TRACE_SPAN("comm/broadcast");
-    FaultPoint("collective");
-    const std::uint64_t seq = NextSeq();
-    if (size() == 1) return;
-    RingBroadcast(std::as_writable_bytes(data), root, seq);
-  }
-
-  // Ring reduce. Contract (relied on by the stage-2 gradient path and
-  // documented here because every clause is asymmetric by design):
-  //   - The fully reduced result lands in `root`'s buffer ONLY; every
-  //     other rank's buffer is left exactly as it was passed in.
-  //   - kAvg divides by the group size at the root only — non-root
-  //     buffers never see the scaling, since they hold unreduced local
-  //     data, not a result.
-  //   - Accumulation walks the ring root+1, root+2, ..., root: the rank
-  //     immediately after root forwards its own buffer verbatim (it has
-  //     nothing to receive), every later rank folds its contribution
-  //     into the running partial sum. The bracketing is therefore fixed
-  //     by ring position and deterministic for a given root.
-  //   - Per-rank send volume is M on every non-root rank and 0 at the
-  //     root; stats_.collectives increments once per rank per call on
-  //     every rank, including the degenerate single-rank group.
-  template <typename T>
-  void Reduce(std::span<T> data, int root, ReduceOp op = ReduceOp::kSum) {
-    TRACE_SPAN("comm/reduce");
-    FaultPoint("collective");
-    const int p = size();
-    const std::uint64_t seq = NextSeq();
-    ++stats_.collectives;
-    if (p == 1) {
-      return;  // identity, like the other single-rank collectives
-    }
-    const int steps_from_root = Distance(root, rank());
-    std::vector<T> acc;
-    if (steps_from_root != 1) {
-      // Everyone but the first hop receives the running sum from the
-      // previous ring position and folds in its own contribution.
-      acc.resize(data.size());
-      Recv(Prev(), std::span<T>(acc), seq | kKindReduce);
-      detail::AccumulateInto(acc.data(), data.data(), data.size(), op);
-    }
-    if (rank() != root) {
-      const std::span<const T> fwd =
-          steps_from_root == 1
-              ? std::span<const T>(data.data(), data.size())
-              : std::span<const T>(acc.data(), acc.size());
-      Send(Next(), fwd, seq | kKindReduce);
-    } else {
-      std::memcpy(data.data(), acc.data(), acc.size() * sizeof(T));
-      if (op == ReduceOp::kAvg)
-        detail::ScaleBy(data.data(), data.size(), 1.0 / p);
-    }
-  }
-
-  // Every rank's `chunk` lands at offset rank*chunk.size() of the
-  // root's `out` (out is only written at the root).
-  template <typename T>
-  void Gather(std::span<const T> chunk, std::span<T> out, int root) {
-    TRACE_SPAN("comm/gather");
-    FaultPoint("collective");
-    const int p = size();
-    const std::uint64_t seq = NextSeq();
-    if (rank() == root) {
-      ZERO_CHECK(out.size() == chunk.size() * static_cast<std::size_t>(p),
-                 "Gather output size mismatch at root");
-      std::memcpy(out.data() + chunk.size() * static_cast<std::size_t>(root),
-                  chunk.data(), chunk.size_bytes());
-      for (int i = 0; i < p; ++i) {
-        if (i == root) continue;
-        Recv(i,
-             out.subspan(chunk.size() * static_cast<std::size_t>(i),
-                         chunk.size()),
-             seq | kKindGather);
-      }
-    } else {
-      Send(root, chunk, seq | kKindGather);
-    }
-    ++stats_.collectives;
-  }
-
-  // Personalized exchange: send.size() == recv.size() == p * chunk; the
-  // i-th chunk of `send` goes to rank i, whose j-th chunk of `recv`
-  // comes from rank j.
-  template <typename T>
-  void AllToAll(std::span<const T> send, std::span<T> recv) {
-    const int p = size();
-    ZERO_CHECK(send.size() == recv.size() &&
-                   send.size() % static_cast<std::size_t>(p) == 0,
-               "AllToAll buffers must be p equal chunks");
-    const std::size_t chunk = send.size() / static_cast<std::size_t>(p);
-    TRACE_SPAN("comm/all_to_all");
-    FaultPoint("collective");
-    const std::uint64_t seq = NextSeq();
-    // Post all sends first (deposits are non-blocking), then receive.
-    for (int i = 0; i < p; ++i) {
-      std::span<const T> piece =
-          send.subspan(chunk * static_cast<std::size_t>(i), chunk);
-      if (i == rank()) {
-        std::memcpy(recv.data() + chunk * static_cast<std::size_t>(i),
-                    piece.data(), piece.size_bytes());
-      } else {
-        Send(i, piece, seq | kKindAllToAll);
-      }
-    }
-    for (int i = 0; i < p; ++i) {
-      if (i == rank()) continue;
-      Recv(i, recv.subspan(chunk * static_cast<std::size_t>(i), chunk),
-           seq | kKindAllToAll);
-    }
-    ++stats_.collectives;
-  }
-
-  // Root's data is split into p equal chunks; chunk i is delivered to
-  // rank i's `out`.
-  template <typename T>
-  void Scatter(std::span<const T> data, std::span<T> out, int root) {
-    TRACE_SPAN("comm/scatter");
-    FaultPoint("collective");
-    const int p = size();
-    ZERO_CHECK(out.size() * static_cast<std::size_t>(p) == data.size() ||
-                   rank() != root,
-               "Scatter size mismatch at root");
-    const std::uint64_t seq = NextSeq();
-    if (rank() == root) {
-      for (int i = 0; i < p; ++i) {
-        std::span<const T> chunk = data.subspan(
-            out.size() * static_cast<std::size_t>(i), out.size());
-        if (i == rank()) {
-          std::memcpy(out.data(), chunk.data(), chunk.size_bytes());
-        } else {
-          Send(i, chunk, seq | kKindScatter);
-        }
-      }
-    } else {
-      Recv(root, out, seq | kKindScatter);
-    }
-    ++stats_.collectives;
-  }
+  void Broadcast(std::span<T> data, int root);
 
   // A bounded wait gives up with CommTimeoutError (lost message) after
   // this many comm-deadline windows with the peer still heartbeating.
   static constexpr int kStallFactor = 8;
 
-  // ---- nonblocking collective support (nonblocking_collectives.hpp) ----
-  // The chunked collective state machines replay the blocking ring
-  // schedules above as resumable steps, so they need the same tag
-  // arithmetic and ring geometry the blocking templates use.
+  // ---- ring geometry for the collective machines below the class ----
+  // Tag stride between a collective's ring phases: AllReduce's gather
+  // phase runs at seq + kStepStride.
   static constexpr std::uint64_t kStepStride = 1ull << 20;
 
   [[nodiscard]] int Next() const { return (rank() + 1) % size(); }
@@ -472,9 +303,10 @@ class Communicator {
   [[nodiscard]] std::pair<std::size_t, std::size_t> ChunkRange(
       std::size_t total, int chunk_index) const;
 
-  // Entry point for one nonblocking collective launch: runs the fault
-  // point, counts `sub_ops` collectives in stats, and returns the base
-  // tag sequence (two kStepStride slots, like the blocking collectives).
+  // Entry point for every collective launch: runs the fault point,
+  // counts `sub_ops` collectives in stats, and returns the base tag
+  // sequence. Each launch reserves two kStepStride slots, so AllReduce's
+  // two phases never collide with the next call's tags.
   std::uint64_t BeginCollective(const char* site, int sub_ops = 1);
 
   // Group introspection for topology builders (comm/topology.hpp).
@@ -483,30 +315,9 @@ class Communicator {
   [[nodiscard]] std::uint64_t group_id() const { return group_id_; }
 
  private:
-  static constexpr std::uint64_t kKindReduce = 1ull << 18;
-  static constexpr std::uint64_t kKindScatter = 2ull << 18;
-  static constexpr std::uint64_t kKindGather = 3ull << 18;
-  // Kind field is 2 bits wide (18-19); AllToAll shares the unused step
-  // range above it.
-  static constexpr std::uint64_t kKindAllToAll = 1ull << 17;
   // User-supplied point-to-point tags must stay below this; internal
   // collective tags are allocated above it.
   static constexpr std::uint64_t kUserTagLimit = 1ull << 40;
-
-  std::uint64_t NextSeq() {
-    // Two stride slots per collective so AllReduce's two phases never
-    // collide with the next call's tags.
-    const std::uint64_t s = op_seq_;
-    op_seq_ += 2 * kStepStride;
-    return s;
-  }
-
-  template <typename T>
-  void RingReduceScatterInPlace(std::span<T> data, ReduceOp op,
-                                std::uint64_t seq);
-  template <typename T>
-  void RingAllGatherInPlace(std::span<T> data, std::uint64_t seq);
-  void RingBroadcast(std::span<std::byte> data, int root, std::uint64_t seq);
 
   RankContext* ctx_;
   std::vector<int> members_;
@@ -515,47 +326,6 @@ class Communicator {
   std::uint64_t op_seq_ = 0;
   CommStats stats_;
 };
-
-// ---- template implementations ----
-
-template <typename T>
-void Communicator::RingReduceScatterInPlace(std::span<T> data, ReduceOp op,
-                                            std::uint64_t seq) {
-  const int p = size();
-  const int r = rank();
-  std::vector<T> staging;
-  for (int s = 0; s < p - 1; ++s) {
-    const int send_chunk = (r - s - 1 + 2 * p) % p;
-    const int recv_chunk = (r - s - 2 + 2 * p) % p;
-    auto [sb, se] = ChunkRange(data.size(), send_chunk);
-    auto [rb, re] = ChunkRange(data.size(), recv_chunk);
-    Send(Next(), std::span<const T>(data.data() + sb, se - sb),
-         seq + static_cast<std::uint64_t>(s));
-    staging.resize(re - rb);
-    Recv(Prev(), std::span<T>(staging), seq + static_cast<std::uint64_t>(s));
-    detail::AccumulateInto(data.data() + rb, staging.data(), re - rb, op);
-  }
-  ++stats_.collectives;
-}
-
-template <typename T>
-void Communicator::RingAllGatherInPlace(std::span<T> data, std::uint64_t seq) {
-  const int p = size();
-  const int r = rank();
-  std::vector<T> staging;
-  for (int s = 0; s < p - 1; ++s) {
-    const int send_chunk = (r - s + 2 * p) % p;
-    const int recv_chunk = (r - s - 1 + 2 * p) % p;
-    auto [sb, se] = ChunkRange(data.size(), send_chunk);
-    auto [rb, re] = ChunkRange(data.size(), recv_chunk);
-    Send(Next(), std::span<const T>(data.data() + sb, se - sb),
-         seq + static_cast<std::uint64_t>(s));
-    staging.resize(re - rb);
-    Recv(Prev(), std::span<T>(staging), seq + static_cast<std::uint64_t>(s));
-    std::copy(staging.begin(), staging.end(), data.begin() + rb);
-  }
-  ++stats_.collectives;
-}
 
 // Measures the communication attributable to a region of code without
 // resetting the communicator's monotonic counters:
@@ -579,5 +349,469 @@ class CommDelta {
   const Communicator* comm_;
   CommStats start_;
 };
+
+// ---- nonblocking collectives ---------------------------------------------
+//
+// Each launcher (IBroadcast / IAllGather / IReduceScatter / IAllReduce)
+// runs Communicator::BeginCollective (fault point, CommStats, tag
+// sequence), posts the first ring step, and returns a waitable
+// CollectiveRequest. The machine advances whenever the owner drives it:
+//
+//   - Test()  completes as many ring steps as have messages queued and
+//     returns whether the collective finished — never blocks. This is
+//     what lets a rank *forward* pipeline chunks for its neighbours
+//     while it is busy computing (the stage-3 prefetch overlap).
+//   - Wait()  drives the machine to completion, blocking in the
+//     failure-aware bounded RecvBytes, so comm deadlines, dead-peer
+//     detection and step aborts all apply. The blocking collectives are
+//     exactly this: launch, then Wait().
+//   - Cancel() abandons the machine: pending receives are drained if
+//     already delivered and their landing buffers released, so a rank
+//     unwinding from a fault can destroy buffers safely. Tags are never
+//     reused, so peers' stale messages rot harmlessly. A machine that is
+//     dropped without Cancel is equally safe: IsRecv is lazy, so nothing
+//     is ever written into a buffer outside Test/Wait.
+//
+// SPMD contract (deadlock freedom): all ranks must launch collectives in
+// the same order, and must eventually Wait (or Cancel) each one. Between
+// launch and Wait, arbitrary other collectives may run — progress of a
+// machine only consumes messages carrying its own tag block. Because
+// every send a machine performs is a buffered mailbox deposit, a rank
+// that has finished its own Wait has already forwarded everything its
+// neighbours need: no rank ever blocks on a peer that is merely idle.
+
+namespace nb_detail {
+
+// Base of all chunked collective state machines. Driven from the owning
+// rank's thread only (no internal locking; the mailbox underneath is the
+// cross-thread boundary).
+class Machine {
+ public:
+  virtual ~Machine() = default;
+  Machine(const Machine&) = delete;
+  Machine& operator=(const Machine&) = delete;
+
+  // Advance as far as possible; with `blocking` the next pending message
+  // is waited for instead of polled. Returns whether the machine is done.
+  virtual bool Advance(bool blocking) = 0;
+  virtual void Cancel() = 0;
+  [[nodiscard]] bool done() const { return done_; }
+
+ protected:
+  Machine() = default;
+  bool done_ = false;
+};
+
+// Ring-pipelined broadcast: the message travels in p chunks around the
+// ring rooted at `root`. The root's sends are buffered deposits, so the
+// root is done at launch; every other rank receives chunk c from Prev
+// and forwards it to Next unless it is the ring tail.
+class BroadcastMachine final : public Machine {
+ public:
+  BroadcastMachine(Communicator& comm, std::span<std::byte> data, int root,
+                   std::uint64_t seq)
+      : comm_(&comm), data_(data), seq_(seq) {
+    const int p = comm.size();
+    if (p == 1 || data.empty()) {
+      done_ = true;
+      return;
+    }
+    q_ = comm.Distance(root, comm.rank());
+    if (q_ == 0) {
+      for (int c = 0; c < p; ++c) {
+        auto [b, e] = comm.ChunkRange(data.size(), c);
+        if (e == b) continue;
+        comm.SendBytes(comm.Next(),
+                       std::span<const std::byte>(data.subspan(b, e - b)),
+                       seq + static_cast<std::uint64_t>(c));
+      }
+      done_ = true;
+      return;
+    }
+    recvs_.resize(static_cast<std::size_t>(p));
+    for (int c = 0; c < p; ++c) {
+      auto [b, e] = comm.ChunkRange(data.size(), c);
+      if (e == b) continue;
+      recvs_[static_cast<std::size_t>(c)] = comm.IsRecvBytes(
+          comm.Prev(), data.subspan(b, e - b),
+          seq + static_cast<std::uint64_t>(c));
+    }
+  }
+
+  bool Advance(bool blocking) override {
+    const int p = comm_->size();
+    while (cursor_ < p) {
+      auto [b, e] = comm_->ChunkRange(data_.size(), cursor_);
+      if (e != b) {
+        CommRequest& r = recvs_[static_cast<std::size_t>(cursor_)];
+        if (blocking) {
+          r.Wait();
+        } else if (!r.Test()) {
+          return false;
+        }
+        if (q_ != p - 1) {
+          comm_->SendBytes(
+              comm_->Next(),
+              std::span<const std::byte>(data_.subspan(b, e - b)),
+              seq_ + static_cast<std::uint64_t>(cursor_));
+        }
+      }
+      ++cursor_;
+    }
+    done_ = true;
+    return true;
+  }
+
+  void Cancel() override {
+    for (CommRequest& r : recvs_) r.Cancel();
+    recvs_.clear();
+    done_ = true;
+  }
+
+ private:
+  Communicator* comm_;
+  std::span<std::byte> data_;
+  std::uint64_t seq_;
+  int q_ = 0;       // ring distance from root
+  int cursor_ = 0;  // next chunk to complete-and-forward, in order
+  std::vector<CommRequest> recvs_;
+};
+
+// In-place ring all-gather: p-1 steps, at step s rank r forwards chunk
+// r-s and receives chunk r-s-1 straight into its slot. Untyped: gathers
+// move bytes only, so element ranges are scaled to byte ranges.
+class GatherMachine final : public Machine {
+ public:
+  GatherMachine(Communicator& comm, std::byte* base, std::size_t elems,
+                std::size_t elem_size, std::uint64_t seq)
+      : comm_(&comm),
+        base_(base),
+        elems_(elems),
+        elem_size_(elem_size),
+        seq_(seq) {
+    if (comm.size() == 1) {
+      done_ = true;
+      return;
+    }
+    StartStep();
+  }
+
+  bool Advance(bool blocking) override {
+    const int p = comm_->size();
+    while (s_ < p - 1) {
+      if (blocking) {
+        recv_.Wait();
+      } else if (!recv_.Test()) {
+        return false;
+      }
+      if (++s_ < p - 1) StartStep();
+    }
+    done_ = true;
+    return true;
+  }
+
+  void Cancel() override {
+    recv_.Cancel();
+    done_ = true;
+  }
+
+ private:
+  void StartStep() {
+    const int p = comm_->size();
+    const int r = comm_->rank();
+    const int send_chunk = (r - s_ + 2 * p) % p;
+    const int recv_chunk = (r - s_ - 1 + 2 * p) % p;
+    auto [sb, se] = comm_->ChunkRange(elems_, send_chunk);
+    auto [rb, re] = comm_->ChunkRange(elems_, recv_chunk);
+    comm_->SendBytes(
+        comm_->Next(),
+        std::span<const std::byte>(base_ + sb * elem_size_,
+                                   (se - sb) * elem_size_),
+        seq_ + static_cast<std::uint64_t>(s_));
+    recv_ = comm_->IsRecvBytes(
+        comm_->Prev(),
+        std::span<std::byte>(base_ + rb * elem_size_, (re - rb) * elem_size_),
+        seq_ + static_cast<std::uint64_t>(s_));
+  }
+
+  Communicator* comm_;
+  std::byte* base_;
+  std::size_t elems_;
+  std::size_t elem_size_;
+  std::uint64_t seq_;
+  int s_ = 0;  // ring step
+  CommRequest recv_;
+};
+
+// In-place ring reduce-scatter phase followed by a finishing action
+// (copy-out for IReduceScatter, the all-gather phase + averaging for
+// IAllReduce). At step s rank r sends chunk r-s-1 and receives chunk
+// r-s-2 into staging, then folds it into the local buffer; after p-1
+// steps chunk r is fully reduced. The bracketing is fixed by ring
+// position, so results are deterministic.
+template <typename T>
+class ReducePhaseMachine : public Machine {
+ public:
+  ReducePhaseMachine(Communicator& comm, std::span<T> data, ReduceOp op,
+                     std::uint64_t seq)
+      : comm_(&comm), data_(data), op_(op), seq_(seq) {
+    // size()==1 leaves the ring loop empty; the first Advance runs the
+    // finishing action (OnReduceDone is virtual, so it cannot run here).
+    if (comm.size() > 1) StartStep();
+  }
+
+  bool Advance(bool blocking) override {
+    const int p = comm_->size();
+    while (s_ < p - 1) {
+      if (blocking) {
+        recv_.Wait();
+      } else if (!recv_.Test()) {
+        return false;
+      }
+      detail::AccumulateInto(data_.data() + acc_begin_, staging_.data(),
+                             staging_.size(), op_);
+      if (++s_ < p - 1) StartStep();
+    }
+    if (!done_) OnReduceDone();
+    return done_ ? true : Advance(blocking);
+  }
+
+  void Cancel() override {
+    recv_.Cancel();
+    done_ = true;
+  }
+
+ protected:
+  // Called once when the reduce phase completes; sets done_ or arms a
+  // follow-up phase (in which case Advance recurses into it).
+  virtual void OnReduceDone() = 0;
+
+  Communicator* comm_;
+  std::span<T> data_;
+  ReduceOp op_;
+  std::uint64_t seq_;
+
+ private:
+  void StartStep() {
+    const int p = comm_->size();
+    const int r = comm_->rank();
+    const int send_chunk = (r - s_ - 1 + 2 * p) % p;
+    const int recv_chunk = (r - s_ - 2 + 2 * p) % p;
+    auto [sb, se] = comm_->ChunkRange(data_.size(), send_chunk);
+    auto [rb, re] = comm_->ChunkRange(data_.size(), recv_chunk);
+    comm_->Send(comm_->Next(),
+                std::span<const T>(data_.data() + sb, se - sb),
+                seq_ + static_cast<std::uint64_t>(s_));
+    staging_.resize(re - rb);
+    acc_begin_ = rb;
+    recv_ = comm_->IsRecv(comm_->Prev(), std::span<T>(staging_),
+                          seq_ + static_cast<std::uint64_t>(s_));
+  }
+
+  int s_ = 0;
+  std::size_t acc_begin_ = 0;
+  std::vector<T> staging_;
+  CommRequest recv_;
+};
+
+template <typename T>
+class ReduceScatterMachine final : public ReducePhaseMachine<T> {
+ public:
+  ReduceScatterMachine(Communicator& comm, std::span<T> data, std::span<T> out,
+                       ReduceOp op, std::uint64_t seq)
+      : ReducePhaseMachine<T>(comm, data, op, seq), out_(out) {}
+
+ protected:
+  void OnReduceDone() override {
+    const std::size_t chunk =
+        this->data_.size() / static_cast<std::size_t>(this->comm_->size());
+    std::copy_n(this->data_.data() +
+                    chunk * static_cast<std::size_t>(this->comm_->rank()),
+                chunk, out_.data());
+    if (this->op_ == ReduceOp::kAvg) {
+      detail::ScaleBy(out_.data(), out_.size(), 1.0 / this->comm_->size());
+    }
+    this->done_ = true;
+  }
+
+ private:
+  std::span<T> out_;
+};
+
+template <typename T>
+class AllReduceMachine final : public ReducePhaseMachine<T> {
+ public:
+  AllReduceMachine(Communicator& comm, std::span<T> data, ReduceOp op,
+                   std::uint64_t seq)
+      : ReducePhaseMachine<T>(comm, data, op, seq) {}
+
+  bool Advance(bool blocking) override {
+    if (gather_) {
+      if (!gather_->Advance(blocking)) return false;
+      Finish();
+      return true;
+    }
+    return ReducePhaseMachine<T>::Advance(blocking);
+  }
+
+  void Cancel() override {
+    if (gather_) gather_->Cancel();
+    ReducePhaseMachine<T>::Cancel();
+  }
+
+ protected:
+  void OnReduceDone() override {
+    if (this->comm_->size() == 1) {
+      this->done_ = true;  // single rank: reduction is the identity
+      return;
+    }
+    gather_ = std::make_unique<GatherMachine>(
+        *this->comm_, reinterpret_cast<std::byte*>(this->data_.data()),
+        this->data_.size(), sizeof(T), this->seq_ + Communicator::kStepStride);
+    // The fresh gather may already be able to run (2-rank groups: the
+    // peer's send could be queued); let the caller's loop drive it.
+  }
+
+ private:
+  void Finish() {
+    if (this->op_ == ReduceOp::kAvg) {
+      detail::ScaleBy(this->data_.data(), this->data_.size(),
+                      1.0 / this->comm_->size());
+    }
+    this->done_ = true;
+  }
+
+  std::unique_ptr<GatherMachine> gather_;
+};
+
+}  // namespace nb_detail
+
+// Handle to an in-flight nonblocking collective. Copyable (shared
+// machine); drive it from the owning rank's thread only. The data
+// buffers passed at launch must stay alive and unmodified (except by the
+// collective itself) until the request completes or is cancelled.
+class CollectiveRequest {
+ public:
+  CollectiveRequest() = default;
+  explicit CollectiveRequest(std::shared_ptr<nb_detail::Machine> m)
+      : m_(std::move(m)) {}
+
+  // Completes as many ring steps as possible without blocking; returns
+  // whether the collective finished.
+  bool Test() {
+    if (!m_ || m_->done()) return true;
+    return m_->Advance(/*blocking=*/false);
+  }
+
+  // Drives the machine to completion (failure-aware bounded waits).
+  void Wait() {
+    if (!m_ || m_->done()) return;
+    TRACE_SPAN("comm/collective_wait");
+    while (!m_->Advance(/*blocking=*/true)) {
+    }
+  }
+
+  // Abandons the collective; see the section comment for semantics.
+  void Cancel() {
+    if (m_ && !m_->done()) m_->Cancel();
+    m_.reset();
+  }
+
+  [[nodiscard]] bool done() const { return !m_ || m_->done(); }
+
+ private:
+  std::shared_ptr<nb_detail::Machine> m_;
+};
+
+// Ring-pipelined broadcast from group rank `root`; per-rank volume ~= M.
+template <typename T>
+[[nodiscard]] CollectiveRequest IBroadcast(Communicator& comm,
+                                           std::span<T> data, int root) {
+  TRACE_SPAN("comm/ibroadcast");
+  // A collective only counts when a ring actually runs (p > 1).
+  const std::uint64_t seq =
+      comm.BeginCollective("collective", comm.size() > 1 ? 1 : 0);
+  return CollectiveRequest(std::make_shared<nb_detail::BroadcastMachine>(
+      comm, std::as_writable_bytes(data), root, seq));
+}
+
+// out.size() == chunk.size() * p; rank i's chunk lands at offset
+// i*chunk.size().
+template <typename T>
+[[nodiscard]] CollectiveRequest IAllGather(Communicator& comm,
+                                           std::span<const T> chunk,
+                                           std::span<T> out) {
+  const int p = comm.size();
+  ZERO_CHECK(out.size() == chunk.size() * static_cast<std::size_t>(p),
+             "IAllGather output size mismatch");
+  TRACE_SPAN("comm/iall_gather");
+  const std::uint64_t seq =
+      comm.BeginCollective("collective", p > 1 ? 1 : 0);
+  std::copy(chunk.begin(), chunk.end(),
+            out.begin() + chunk.size() * static_cast<std::size_t>(comm.rank()));
+  return CollectiveRequest(std::make_shared<nb_detail::GatherMachine>(
+      comm, reinterpret_cast<std::byte*>(out.data()), out.size(), sizeof(T),
+      seq));
+}
+
+// data.size() must divide evenly by p; out.size() == data.size()/p.
+// `data` is scratch, left unspecified.
+template <typename T>
+[[nodiscard]] CollectiveRequest IReduceScatter(Communicator& comm,
+                                               std::span<T> data,
+                                               std::span<T> out,
+                                               ReduceOp op = ReduceOp::kSum) {
+  const int p = comm.size();
+  ZERO_CHECK(data.size() % static_cast<std::size_t>(p) == 0,
+             "IReduceScatter length must divide evenly (pad first)");
+  ZERO_CHECK(out.size() == data.size() / static_cast<std::size_t>(p),
+             "IReduceScatter output size mismatch");
+  TRACE_SPAN("comm/ireduce_scatter");
+  const std::uint64_t seq =
+      comm.BeginCollective("collective", p > 1 ? 1 : 0);
+  return CollectiveRequest(std::make_shared<nb_detail::ReduceScatterMachine<T>>(
+      comm, data, out, op, seq));
+}
+
+// In-place sum/avg/max across the group, any length: the reduce-scatter
+// ring, then the all-gather ring, then the kAvg epilogue.
+template <typename T>
+[[nodiscard]] CollectiveRequest IAllReduce(Communicator& comm,
+                                           std::span<T> data,
+                                           ReduceOp op = ReduceOp::kSum) {
+  TRACE_SPAN("comm/iall_reduce");
+  // The two ring phases count as two collectives.
+  const std::uint64_t seq =
+      comm.BeginCollective("collective", comm.size() > 1 ? 2 : 0);
+  return CollectiveRequest(std::make_shared<nb_detail::AllReduceMachine<T>>(
+      comm, data, op, seq));
+}
+
+// ---- blocking collectives: launch, then Wait ----
+
+template <typename T>
+void Communicator::AllReduce(std::span<T> data, ReduceOp op) {
+  TRACE_SPAN("comm/all_reduce");
+  IAllReduce(*this, data, op).Wait();
+}
+
+template <typename T>
+void Communicator::ReduceScatter(std::span<T> data, std::span<T> out,
+                                 ReduceOp op) {
+  TRACE_SPAN("comm/reduce_scatter");
+  IReduceScatter(*this, data, out, op).Wait();
+}
+
+template <typename T>
+void Communicator::AllGather(std::span<const T> chunk, std::span<T> out) {
+  TRACE_SPAN("comm/all_gather");
+  IAllGather(*this, chunk, out).Wait();
+}
+
+template <typename T>
+void Communicator::Broadcast(std::span<T> data, int root) {
+  TRACE_SPAN("comm/broadcast");
+  IBroadcast(*this, data, root).Wait();
+}
 
 }  // namespace zero::comm

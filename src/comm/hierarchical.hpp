@@ -6,14 +6,15 @@
 // exploits the topology the paper's cluster has:
 //
 //   1. reduce-scatter inside each local (intra-node) group;
-//   2. all-reduce each shard across the group leaders' communicator
-//      (one participant per node on the slow network);
+//   2. gather the shards to the local leader, all-reduce the whole
+//      message across the leaders' communicator (one participant per
+//      node on the slow network), and scatter the shards back;
 //   3. all-gather inside the local group.
 //
-// Every rank still sends O(M) bytes, but only 1/G of the message ever
-// crosses nodes per rank and the slow-network ring has `nodes` members
-// instead of `world` — the standard NCCL-style optimization for the
-// NVSwitch + InfiniBand fabric of Sec 10.1.
+// Every rank still sends O(M) bytes, but only the leaders touch the
+// slow network, and its ring has `nodes` members instead of `world` —
+// the NCCL-style two-level schedule for the NVSwitch + InfiniBand
+// fabric of Sec 10.1.
 //
 // Usage (SPMD): every rank passes its intra-node communicator; ranks
 // whose local rank is 0 also pass the cross-node (leaders)
@@ -56,17 +57,12 @@ void HierarchicalAllReduce(Communicator& local, Communicator* leaders,
   std::vector<T> shard(chunk);
   local.ReduceScatter(std::span<T>(padded), std::span<T>(shard), op);
 
-  // Phase 2: leaders combine their shards across nodes. Non-leaders'
-  // shards must also cross, so each local rank funnels its shard through
-  // its leader? No — every local rank owns a *different* shard, so all
-  // shards together tile the message exactly once. The cross-node
-  // reduction must therefore run per shard owner: the owner of shard i
-  // on every node holds the same index range, so the natural leaders'
-  // group for shard i is "local rank i across nodes". When the caller
-  // provides one leaders' communicator (local rank 0 only), shards are
-  // first gathered to the leader, reduced across nodes, and scattered
-  // back — trading one extra local round trip for a single cross-node
-  // group.
+  // Phase 2: the cross-node reduction. Every local rank owns a
+  // different shard, and the shards tile the message once, so each one
+  // must cross nodes. There is one cross-node group (the leaders), so
+  // the shards are gathered to the leader, all-reduced across nodes, and
+  // scattered back: one extra local round trip buys a single cross-node
+  // ring instead of one per local rank.
   if (is_leader) {
     std::vector<T> all_shards(padded.size());
     // Gather every local rank's shard to the leader.

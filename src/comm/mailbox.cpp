@@ -25,10 +25,10 @@ void Mailbox::PopLocked(
 
 TakeStatus Mailbox::TakeFor(int source, std::uint64_t tag,
                             std::chrono::nanoseconds timeout,
+                            std::uint64_t epoch,
                             std::vector<std::byte>& out) {
   std::unique_lock<std::mutex> lock(mutex_);
   const Key key{source, tag};
-  const std::uint64_t epoch = interrupts_;
   auto ready = [&] {
     if (shutdown_ || interrupts_ != epoch) return true;
     auto it = queues_.find(key);
@@ -74,6 +74,11 @@ void Mailbox::Interrupt() {
     ++interrupts_;
   }
   cv_.notify_all();
+}
+
+std::uint64_t Mailbox::InterruptEpoch() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return interrupts_;
 }
 
 bool Mailbox::shut_down() const {

@@ -21,7 +21,9 @@
 //     waiter and strand the right one.
 //   - TakeFor is the only blocking entry point, and its predicate also
 //     reads shutdown_ and interrupts_: no waiter can outlive Shutdown or
-//     miss an Interrupt, even with kForever.
+//     miss an Interrupt, even with kForever. The caller passes the
+//     interrupt epoch it read before its own failure checks, so an
+//     Interrupt between those checks and the wait is not missed either.
 #pragma once
 
 #include <chrono>
@@ -69,11 +71,22 @@ class Mailbox {
   // Waits up to `timeout` (kForever = no deadline) for a message with
   // exactly this (source, tag). A queued message wins over a
   // concurrent shutdown/interrupt — delivery is never dropped on the
-  // floor. kInterrupted reports that Interrupt() bumped the epoch during
-  // the wait so the caller can re-check failure state and re-enter.
+  // floor. kInterrupted reports that the interrupt epoch has moved past
+  // `epoch`, so the caller can re-check failure state and re-enter.
+  // Read `epoch` with InterruptEpoch() BEFORE checking that failure
+  // state: an Interrupt() landing between the check and this call then
+  // still ends the wait instead of being lost.
   [[nodiscard]] TakeStatus TakeFor(int source, std::uint64_t tag,
                                    std::chrono::nanoseconds timeout,
+                                   std::uint64_t epoch,
                                    std::vector<std::byte>& out);
+  // Same, with the epoch read on entry: only interrupts raised during the
+  // wait end it. For callers that keep no failure state to re-check.
+  [[nodiscard]] TakeStatus TakeFor(int source, std::uint64_t tag,
+                                   std::chrono::nanoseconds timeout,
+                                   std::vector<std::byte>& out) {
+    return TakeFor(source, tag, timeout, InterruptEpoch(), out);
+  }
 
   // Nonblocking variant: returns the message if one is already queued
   // for (source, tag), nullopt otherwise. The polling primitive under
@@ -86,9 +99,10 @@ class Mailbox {
   // teardown.
   void Shutdown();
 
-  // Wakes every blocked TakeFor so it can re-check external failure
-  // state (dead peers, abort requests).
+  // Bumps the interrupt epoch and wakes every blocked TakeFor so it can
+  // re-check external failure state (dead peers, abort requests).
   void Interrupt();
+  [[nodiscard]] std::uint64_t InterruptEpoch() const;
 
   [[nodiscard]] bool shut_down() const;
   [[nodiscard]] std::size_t PendingCount() const;

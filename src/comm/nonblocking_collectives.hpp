@@ -1,40 +1,18 @@
-// Nonblocking collectives: the blocking ring schedules of
-// communicator.hpp re-expressed as resumable chunked state machines over
-// the CommRequest/mailbox p2p layer.
+// ZeRO++ qwZ: quantized nonblocking parameter movement.
 //
-// Each launcher (IBroadcast / IAllGather / IReduceScatter / IAllReduce)
-// performs the same FaultPoint + tag-sequence bookkeeping as its
-// blocking twin, posts the first ring step, and returns a waitable
-// CollectiveRequest. The machine advances whenever the owner drives it:
+// IQuantBroadcast and IQuantAllGather run the exact broadcast and
+// all-gather rings of communicator.hpp (BroadcastMachine, GatherMachine)
+// over a wire buffer in the blockwise int8 format of tensor/quantize.hpp
+// (int8 codes + fp16 scales, ~3.8x smaller at block 64). They return the
+// same waitable CollectiveRequest and follow the same Test/Wait/Cancel
+// and SPMD contracts as the exact nonblocking collectives.
 //
-//   - Test()  completes as many ring steps as have messages queued and
-//     returns whether the collective finished — never blocks. This is
-//     what lets a rank *forward* pipeline chunks for its neighbours
-//     while it is busy computing (the stage-3 prefetch overlap).
-//   - Wait()  drives the machine to completion, blocking in the same
-//     failure-aware bounded RecvBytes the blocking collectives use, so
-//     comm deadlines, dead-peer detection and step aborts all apply.
-//   - Cancel() abandons the machine: pending receives are drained if
-//     already delivered and their landing buffers released, so a rank
-//     unwinding from a fault can destroy buffers safely. Tags are never
-//     reused, so peers' stale messages rot harmlessly.
-//
-// Determinism contract: the ring step order, chunk geometry and
-// accumulation bracketing are copied chunk-for-chunk from the blocking
-// schedules, so a nonblocking collective produces bit-identical results
-// to its blocking twin (the property the stage-3 prefetcher relies on,
-// and which tests/comm/nonblocking_collectives_test.cpp pins).
-//
-// SPMD contract (deadlock freedom): all ranks must launch collectives in
-// the same order, and must eventually Wait (or Cancel) each one. Between
-// launch and Wait, arbitrary other collectives may run — progress of a
-// machine only consumes messages carrying its own tag block. Because
-// every send a machine performs is a buffered mailbox deposit, a rank
-// that has finished its own Wait has already forwarded everything its
-// neighbours need: no rank ever blocks on a peer that is merely idle.
+// Every rank — the root/chunk owner included — overwrites its fp16
+// destination with the dequantized wire contents, so all ranks hold
+// bit-identical (lossy) values afterwards; without that, the owner's
+// replica would silently diverge from its peers'.
 #pragma once
 
-#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -47,319 +25,6 @@
 namespace zero::comm {
 
 namespace nb_detail {
-
-// Base of all chunked collective state machines. Driven from the owning
-// rank's thread only (no internal locking; the mailbox underneath is the
-// cross-thread boundary).
-class Machine {
- public:
-  virtual ~Machine() = default;
-  Machine(const Machine&) = delete;
-  Machine& operator=(const Machine&) = delete;
-
-  // Advance as far as possible; with `blocking` the next pending message
-  // is waited for instead of polled. Returns whether the machine is done.
-  virtual bool Advance(bool blocking) = 0;
-  virtual void Cancel() = 0;
-  [[nodiscard]] bool done() const { return done_; }
-
- protected:
-  Machine() = default;
-  bool done_ = false;
-};
-
-// Ring-pipelined broadcast (RingBroadcast as a machine). The root's
-// sends are buffered deposits, so the root is done at launch; every
-// other rank receives chunk c from Prev and forwards it to Next unless
-// it is the ring tail.
-class BroadcastMachine final : public Machine {
- public:
-  BroadcastMachine(Communicator& comm, std::span<std::byte> data, int root,
-                   std::uint64_t seq)
-      : comm_(&comm), data_(data), seq_(seq) {
-    const int p = comm.size();
-    if (p == 1 || data.empty()) {
-      done_ = true;
-      return;
-    }
-    q_ = comm.Distance(root, comm.rank());
-    if (q_ == 0) {
-      for (int c = 0; c < p; ++c) {
-        auto [b, e] = comm.ChunkRange(data.size(), c);
-        if (e == b) continue;
-        comm.SendBytes(comm.Next(),
-                       std::span<const std::byte>(data.subspan(b, e - b)),
-                       seq + static_cast<std::uint64_t>(c));
-      }
-      done_ = true;
-      return;
-    }
-    recvs_.resize(static_cast<std::size_t>(p));
-    for (int c = 0; c < p; ++c) {
-      auto [b, e] = comm.ChunkRange(data.size(), c);
-      if (e == b) continue;
-      recvs_[static_cast<std::size_t>(c)] = comm.IsRecvBytes(
-          comm.Prev(), data.subspan(b, e - b),
-          seq + static_cast<std::uint64_t>(c));
-    }
-  }
-
-  bool Advance(bool blocking) override {
-    const int p = comm_->size();
-    while (cursor_ < p) {
-      auto [b, e] = comm_->ChunkRange(data_.size(), cursor_);
-      if (e != b) {
-        CommRequest& r = recvs_[static_cast<std::size_t>(cursor_)];
-        if (blocking) {
-          r.Wait();
-        } else if (!r.Test()) {
-          return false;
-        }
-        if (q_ != p - 1) {
-          comm_->SendBytes(
-              comm_->Next(),
-              std::span<const std::byte>(data_.subspan(b, e - b)),
-              seq_ + static_cast<std::uint64_t>(cursor_));
-        }
-      }
-      ++cursor_;
-    }
-    done_ = true;
-    return true;
-  }
-
-  void Cancel() override {
-    for (CommRequest& r : recvs_) r.Cancel();
-    recvs_.clear();
-    done_ = true;
-  }
-
- private:
-  Communicator* comm_;
-  std::span<std::byte> data_;
-  std::uint64_t seq_;
-  int q_ = 0;       // ring distance from root
-  int cursor_ = 0;  // next chunk to complete-and-forward, in order
-  std::vector<CommRequest> recvs_;
-};
-
-// In-place ring all-gather phase (RingAllGatherInPlace as a machine).
-// Untyped: gathers move bytes only, so element ranges are scaled to byte
-// ranges up front.
-class GatherMachine final : public Machine {
- public:
-  GatherMachine(Communicator& comm, std::byte* base, std::size_t elems,
-                std::size_t elem_size, std::uint64_t seq)
-      : comm_(&comm),
-        base_(base),
-        elems_(elems),
-        elem_size_(elem_size),
-        seq_(seq) {
-    if (comm.size() == 1) {
-      done_ = true;
-      return;
-    }
-    StartStep();
-  }
-
-  bool Advance(bool blocking) override {
-    const int p = comm_->size();
-    while (s_ < p - 1) {
-      if (blocking) {
-        recv_.Wait();
-      } else if (!recv_.Test()) {
-        return false;
-      }
-      if (++s_ < p - 1) StartStep();
-    }
-    done_ = true;
-    return true;
-  }
-
-  void Cancel() override {
-    recv_.Cancel();
-    done_ = true;
-  }
-
- private:
-  void StartStep() {
-    const int p = comm_->size();
-    const int r = comm_->rank();
-    const int send_chunk = (r - s_ + 2 * p) % p;
-    const int recv_chunk = (r - s_ - 1 + 2 * p) % p;
-    auto [sb, se] = comm_->ChunkRange(elems_, send_chunk);
-    auto [rb, re] = comm_->ChunkRange(elems_, recv_chunk);
-    comm_->SendBytes(
-        comm_->Next(),
-        std::span<const std::byte>(base_ + sb * elem_size_,
-                                   (se - sb) * elem_size_),
-        seq_ + static_cast<std::uint64_t>(s_));
-    recv_ = comm_->IsRecvBytes(
-        comm_->Prev(),
-        std::span<std::byte>(base_ + rb * elem_size_, (re - rb) * elem_size_),
-        seq_ + static_cast<std::uint64_t>(s_));
-  }
-
-  Communicator* comm_;
-  std::byte* base_;
-  std::size_t elems_;
-  std::size_t elem_size_;
-  std::uint64_t seq_;
-  int s_ = 0;  // ring step
-  CommRequest recv_;
-};
-
-// In-place ring reduce-scatter phase followed by an optional finishing
-// action (copy-out for IReduceScatter, the all-gather phase + averaging
-// for IAllReduce). The accumulation bracketing — receive into staging,
-// fold into the local buffer in ring-step order — is identical to
-// RingReduceScatterInPlace, which is what makes the nonblocking result
-// bit-exact against the blocking one.
-template <typename T>
-class ReducePhaseMachine : public Machine {
- public:
-  ReducePhaseMachine(Communicator& comm, std::span<T> data, ReduceOp op,
-                     std::uint64_t seq)
-      : comm_(&comm), data_(data), op_(op), seq_(seq) {
-    // size()==1 leaves the ring loop empty; the first Advance runs the
-    // finishing action (OnReduceDone is virtual, so it cannot run here).
-    if (comm.size() > 1) StartStep();
-  }
-
-  bool Advance(bool blocking) override {
-    const int p = comm_->size();
-    while (s_ < p - 1) {
-      if (blocking) {
-        recv_.Wait();
-      } else if (!recv_.Test()) {
-        return false;
-      }
-      detail::AccumulateInto(data_.data() + acc_begin_, staging_.data(),
-                             staging_.size(), op_);
-      if (++s_ < p - 1) StartStep();
-    }
-    if (!done_) OnReduceDone();
-    return done_ ? true : Advance(blocking);
-  }
-
-  void Cancel() override {
-    recv_.Cancel();
-    done_ = true;
-  }
-
- protected:
-  // Called once when the reduce phase completes; sets done_ or arms a
-  // follow-up phase (in which case Advance recurses into it).
-  virtual void OnReduceDone() = 0;
-
-  Communicator* comm_;
-  std::span<T> data_;
-  ReduceOp op_;
-  std::uint64_t seq_;
-
- private:
-  void StartStep() {
-    const int p = comm_->size();
-    const int r = comm_->rank();
-    const int send_chunk = (r - s_ - 1 + 2 * p) % p;
-    const int recv_chunk = (r - s_ - 2 + 2 * p) % p;
-    auto [sb, se] = comm_->ChunkRange(data_.size(), send_chunk);
-    auto [rb, re] = comm_->ChunkRange(data_.size(), recv_chunk);
-    comm_->Send(comm_->Next(),
-                std::span<const T>(data_.data() + sb, se - sb),
-                seq_ + static_cast<std::uint64_t>(s_));
-    staging_.resize(re - rb);
-    acc_begin_ = rb;
-    recv_ = comm_->IsRecv(comm_->Prev(), std::span<T>(staging_),
-                          seq_ + static_cast<std::uint64_t>(s_));
-  }
-
-  int s_ = 0;
-  std::size_t acc_begin_ = 0;
-  std::vector<T> staging_;
-  CommRequest recv_;
-};
-
-template <typename T>
-class ReduceScatterMachine final : public ReducePhaseMachine<T> {
- public:
-  ReduceScatterMachine(Communicator& comm, std::span<T> data, std::span<T> out,
-                       ReduceOp op, std::uint64_t seq)
-      : ReducePhaseMachine<T>(comm, data, op, seq), out_(out) {}
-
- protected:
-  void OnReduceDone() override {
-    const std::size_t chunk =
-        this->data_.size() / static_cast<std::size_t>(this->comm_->size());
-    std::memcpy(out_.data(),
-                this->data_.data() +
-                    chunk * static_cast<std::size_t>(this->comm_->rank()),
-                chunk * sizeof(T));
-    if (this->op_ == ReduceOp::kAvg) {
-      detail::ScaleBy(out_.data(), out_.size(), 1.0 / this->comm_->size());
-    }
-    this->done_ = true;
-  }
-
- private:
-  std::span<T> out_;
-};
-
-template <typename T>
-class AllReduceMachine final : public ReducePhaseMachine<T> {
- public:
-  AllReduceMachine(Communicator& comm, std::span<T> data, ReduceOp op,
-                   std::uint64_t seq)
-      : ReducePhaseMachine<T>(comm, data, op, seq) {}
-
-  bool Advance(bool blocking) override {
-    if (gather_) {
-      if (!gather_->Advance(blocking)) return false;
-      Finish();
-      return true;
-    }
-    return ReducePhaseMachine<T>::Advance(blocking);
-  }
-
-  void Cancel() override {
-    if (gather_) gather_->Cancel();
-    ReducePhaseMachine<T>::Cancel();
-  }
-
- protected:
-  void OnReduceDone() override {
-    if (this->comm_->size() == 1) {
-      this->done_ = true;  // identity, like the blocking AllReduce
-      return;
-    }
-    // Same tag block as the blocking AllReduce's second phase.
-    gather_ = std::make_unique<GatherMachine>(
-        *this->comm_, reinterpret_cast<std::byte*>(this->data_.data()),
-        this->data_.size(), sizeof(T), this->seq_ + Communicator::kStepStride);
-    // The fresh gather may already be able to run (2-rank groups: the
-    // peer's send could be queued); let the caller's loop drive it.
-  }
-
- private:
-  void Finish() {
-    if (this->op_ == ReduceOp::kAvg) {
-      detail::ScaleBy(this->data_.data(), this->data_.size(),
-                      1.0 / this->comm_->size());
-    }
-    this->done_ = true;
-  }
-
-  std::unique_ptr<GatherMachine> gather_;
-};
-
-// ---- ZeRO++ qwZ: quantized parameter movement ---------------------------
-//
-// The fp16 payload is replaced on the wire by the blockwise int8 format
-// of tensor/quantize.hpp (int8 codes + fp16 scales, ~3.8x smaller at
-// block 64). Every rank — the root/chunk owner included — overwrites its
-// fp16 destination with the dequantized wire contents, so all ranks hold
-// bit-identical (lossy) values afterwards; without that, the owner's
-// replica would silently diverge from its peers'.
 
 // Wire-precision accounting for the step report's comm.bytes split:
 // every quantized payload injected into the network books its int8 and
@@ -473,94 +138,6 @@ class QuantAllGatherMachine final : public Machine {
 
 }  // namespace nb_detail
 
-// Handle to an in-flight nonblocking collective. Copyable (shared
-// machine); drive it from the owning rank's thread only. The data
-// buffers passed at launch must stay alive and unmodified (except by the
-// collective itself) until the request completes or is cancelled.
-class CollectiveRequest {
- public:
-  CollectiveRequest() = default;
-  explicit CollectiveRequest(std::shared_ptr<nb_detail::Machine> m)
-      : m_(std::move(m)) {}
-
-  // Completes as many ring steps as possible without blocking; returns
-  // whether the collective finished.
-  bool Test() {
-    if (!m_ || m_->done()) return true;
-    return m_->Advance(/*blocking=*/false);
-  }
-
-  // Drives the machine to completion (failure-aware bounded waits).
-  void Wait() {
-    if (!m_ || m_->done()) return;
-    TRACE_SPAN("comm/collective_wait");
-    while (!m_->Advance(/*blocking=*/true)) {
-    }
-  }
-
-  // Abandons the collective; see the header comment for semantics.
-  void Cancel() {
-    if (m_ && !m_->done()) m_->Cancel();
-    m_.reset();
-  }
-
-  [[nodiscard]] bool done() const { return !m_ || m_->done(); }
-
- private:
-  std::shared_ptr<nb_detail::Machine> m_;
-};
-
-// Ring-pipelined broadcast from group rank `root`. Same volume and byte
-// movement as Communicator::Broadcast.
-template <typename T>
-[[nodiscard]] CollectiveRequest IBroadcast(Communicator& comm,
-                                           std::span<T> data, int root) {
-  TRACE_SPAN("comm/ibroadcast");
-  // Blocking collectives only count when a ring actually runs (p > 1).
-  const std::uint64_t seq =
-      comm.BeginCollective("collective", comm.size() > 1 ? 1 : 0);
-  return CollectiveRequest(std::make_shared<nb_detail::BroadcastMachine>(
-      comm, std::as_writable_bytes(data), root, seq));
-}
-
-// out.size() == chunk.size() * p; rank i's chunk lands at offset
-// i*chunk.size(). Same semantics as Communicator::AllGather.
-template <typename T>
-[[nodiscard]] CollectiveRequest IAllGather(Communicator& comm,
-                                           std::span<const T> chunk,
-                                           std::span<T> out) {
-  const int p = comm.size();
-  ZERO_CHECK(out.size() == chunk.size() * static_cast<std::size_t>(p),
-             "IAllGather output size mismatch");
-  TRACE_SPAN("comm/iall_gather");
-  const std::uint64_t seq =
-      comm.BeginCollective("collective", p > 1 ? 1 : 0);
-  std::memcpy(out.data() + chunk.size() * static_cast<std::size_t>(comm.rank()),
-              chunk.data(), chunk.size() * sizeof(T));
-  return CollectiveRequest(std::make_shared<nb_detail::GatherMachine>(
-      comm, reinterpret_cast<std::byte*>(out.data()), out.size(), sizeof(T),
-      seq));
-}
-
-// data.size() must divide evenly by p; out.size() == data.size()/p.
-// `data` is scratch, left unspecified. Bit-exact vs ReduceScatter.
-template <typename T>
-[[nodiscard]] CollectiveRequest IReduceScatter(Communicator& comm,
-                                               std::span<T> data,
-                                               std::span<T> out,
-                                               ReduceOp op = ReduceOp::kSum) {
-  const int p = comm.size();
-  ZERO_CHECK(data.size() % static_cast<std::size_t>(p) == 0,
-             "IReduceScatter length must divide evenly (pad first)");
-  ZERO_CHECK(out.size() == data.size() / static_cast<std::size_t>(p),
-             "IReduceScatter output size mismatch");
-  TRACE_SPAN("comm/ireduce_scatter");
-  const std::uint64_t seq =
-      comm.BeginCollective("collective", p > 1 ? 1 : 0);
-  return CollectiveRequest(std::make_shared<nb_detail::ReduceScatterMachine<T>>(
-      comm, data, out, op, seq));
-}
-
 // qwZ broadcast: the root's fp16 span travels as int8 codes + fp16
 // scales and every rank (root included) lands the dequantized values in
 // `data`. Same ring schedule and tag bookkeeping as IBroadcast, ~1/3.8
@@ -592,20 +169,6 @@ template <typename T>
       comm.BeginCollective("collective", comm.size() > 1 ? 1 : 0);
   return CollectiveRequest(std::make_shared<nb_detail::QuantAllGatherMachine>(
       comm, chunk, out, block, seq));
-}
-
-// In-place sum/avg/max across the group, any length. Bit-exact vs
-// AllReduce (same two-phase ring, same bracketing, same kAvg epilogue).
-template <typename T>
-[[nodiscard]] CollectiveRequest IAllReduce(Communicator& comm,
-                                           std::span<T> data,
-                                           ReduceOp op = ReduceOp::kSum) {
-  TRACE_SPAN("comm/iall_reduce");
-  // The blocking AllReduce counts its two ring phases separately.
-  const std::uint64_t seq =
-      comm.BeginCollective("collective", comm.size() > 1 ? 2 : 0);
-  return CollectiveRequest(std::make_shared<nb_detail::AllReduceMachine<T>>(
-      comm, data, op, seq));
 }
 
 }  // namespace zero::comm

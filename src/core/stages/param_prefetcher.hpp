@@ -7,7 +7,7 @@
 // AcquireUnit; this class turns those stalls into overlap by walking
 // the unit schedule ahead of the compute and keeping up to
 // EngineConfig::prefetch_lookahead units' gathers in flight as
-// nonblocking collectives (comm/nonblocking_collectives.hpp).
+// nonblocking collectives (IBroadcast, or IQuantBroadcast under qwZ).
 //
 // Schedule learning. The model's acquire order is irregular (a GPT
 // forward touches the embedding unit again at the head; backward with

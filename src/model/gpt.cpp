@@ -4,7 +4,7 @@
 #include <cstring>
 #include <vector>
 
-#include "comm/nonblocking_collectives.hpp"
+#include "comm/communicator.hpp"
 #include "common/error.hpp"
 #include "model/serving_weights.hpp"
 #include "tensor/kernels.hpp"

@@ -9,13 +9,10 @@ namespace zero::obs {
 namespace {
 
 // Blocking collectives usable as dependency anchors in the walk. Wider
-// than the skew set: rooted ops still pin the *other* members to the
+// than the skew set: a broadcast still pins the *other* members to the
 // gating rank even though the root itself can leave early.
 bool IsWalkAnchor(std::string_view name) {
-  return name == "comm/all_reduce" || name == "comm/reduce_scatter" ||
-         name == "comm/all_gather" || name == "comm/all_to_all" ||
-         name == "comm/broadcast" || name == "comm/reduce" ||
-         name == "comm/gather" || name == "comm/scatter";
+  return IsSyncSpanName(name) || name == "comm/broadcast";
 }
 
 struct Interval {

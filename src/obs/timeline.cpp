@@ -51,10 +51,10 @@ SyncEnds CollectSyncEnds(const std::vector<ThreadEvents>& threads,
 bool IsSyncSpanName(std::string_view name) {
   // Symmetric blocking collectives only: every member both feeds the
   // ring and drains it until the last contribution lands, so the exits
-  // are aligned. Rooted ops (broadcast/reduce/gather/scatter) let the
-  // root leave early over buffered sends and would bias the estimate.
+  // are aligned. Broadcast lets the root leave early over buffered sends
+  // and would bias the estimate.
   return name == "comm/all_reduce" || name == "comm/reduce_scatter" ||
-         name == "comm/all_gather" || name == "comm/all_to_all";
+         name == "comm/all_gather";
 }
 
 std::vector<RankClock> EstimateClockSkew(

@@ -165,128 +165,6 @@ TEST_P(CollectivesTest, BroadcastVolumeIsMessageSize) {
   });
 }
 
-TEST_P(CollectivesTest, ReduceLandsOnRootOnly) {
-  const int p = GetParam();
-  const std::size_t n = 21;
-  std::vector<float> expected(n, 0.0f);
-  for (int r = 0; r < p; ++r) {
-    auto d = RankData(r, n);
-    for (std::size_t i = 0; i < n; ++i) expected[i] += d[i];
-  }
-  World world(p);
-  world.Run([&](RankContext& ctx) {
-    Communicator comm = Communicator::WholeWorld(ctx);
-    for (int root = 0; root < p; ++root) {
-      auto data = RankData(ctx.rank, n);
-      comm.Reduce(std::span<float>(data), root, ReduceOp::kSum);
-      if (ctx.rank == root) {
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_NEAR(data[i], expected[i], 1e-4f) << "root " << root;
-        }
-      }
-    }
-  });
-}
-
-TEST_P(CollectivesTest, ReduceAvgScalesAtRootOnly) {
-  // Regression for the documented Reduce contract: kAvg divides by the
-  // group size at the root only, and non-root buffers come back exactly
-  // as they were passed in (they hold unreduced local data, not a
-  // result).
-  const int p = GetParam();
-  if (p < 3) GTEST_SKIP() << "needs a rank that is neither root nor "
-                             "the first ring hop";
-  const std::size_t n = 19;
-  std::vector<float> mean(n, 0.0f);
-  for (int r = 0; r < p; ++r) {
-    auto d = RankData(r, n);
-    for (std::size_t i = 0; i < n; ++i) mean[i] += d[i] / static_cast<float>(p);
-  }
-  World world(p);
-  world.Run([&](RankContext& ctx) {
-    Communicator comm = Communicator::WholeWorld(ctx);
-    for (int root = 0; root < p; ++root) {
-      auto data = RankData(ctx.rank, n);
-      const auto before = data;
-      comm.Reduce(std::span<float>(data), root, ReduceOp::kAvg);
-      if (ctx.rank == root) {
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_NEAR(data[i], mean[i], 1e-4f) << "root " << root;
-        }
-      } else {
-        // Untouched — in particular, never scaled by 1/p.
-        ASSERT_EQ(data, before) << "rank " << ctx.rank << " root " << root;
-      }
-    }
-  });
-}
-
-TEST_P(CollectivesTest, ScatterDistributesRootChunks) {
-  const int p = GetParam();
-  const std::size_t chunk = 6;
-  World world(p);
-  world.Run([&](RankContext& ctx) {
-    Communicator comm = Communicator::WholeWorld(ctx);
-    std::vector<float> all = RankData(0, chunk * static_cast<std::size_t>(p));
-    std::vector<float> out(chunk);
-    comm.Scatter(std::span<const float>(all), std::span<float>(out), 0);
-    for (std::size_t i = 0; i < chunk; ++i) {
-      ASSERT_EQ(out[i], all[static_cast<std::size_t>(ctx.rank) * chunk + i]);
-    }
-  });
-}
-
-TEST_P(CollectivesTest, GatherCollectsAllChunksAtRoot) {
-  const int p = GetParam();
-  const std::size_t chunk = 7;
-  World world(p);
-  world.Run([&](RankContext& ctx) {
-    Communicator comm = Communicator::WholeWorld(ctx);
-    for (int root = 0; root < p; ++root) {
-      auto mine = RankData(ctx.rank, chunk);
-      std::vector<float> out(chunk * static_cast<std::size_t>(p), -1.0f);
-      comm.Gather(std::span<const float>(mine), std::span<float>(out), root);
-      if (ctx.rank == root) {
-        for (int r = 0; r < p; ++r) {
-          auto theirs = RankData(r, chunk);
-          for (std::size_t i = 0; i < chunk; ++i) {
-            ASSERT_EQ(out[static_cast<std::size_t>(r) * chunk + i],
-                      theirs[i])
-                << "root " << root;
-          }
-        }
-      }
-    }
-  });
-}
-
-TEST_P(CollectivesTest, AllToAllPersonalizedExchange) {
-  const int p = GetParam();
-  const std::size_t chunk = 5;
-  World world(p);
-  world.Run([&](RankContext& ctx) {
-    Communicator comm = Communicator::WholeWorld(ctx);
-    // send[i*chunk + j] encodes (sender, destination, element).
-    std::vector<float> send(chunk * static_cast<std::size_t>(p));
-    for (int i = 0; i < p; ++i) {
-      for (std::size_t j = 0; j < chunk; ++j) {
-        send[static_cast<std::size_t>(i) * chunk + j] =
-            static_cast<float>(ctx.rank * 1000 + i * 10 +
-                               static_cast<int>(j));
-      }
-    }
-    std::vector<float> recv(send.size());
-    comm.AllToAll(std::span<const float>(send), std::span<float>(recv));
-    for (int src = 0; src < p; ++src) {
-      for (std::size_t j = 0; j < chunk; ++j) {
-        ASSERT_EQ(recv[static_cast<std::size_t>(src) * chunk + j],
-                  static_cast<float>(src * 1000 + ctx.rank * 10 +
-                                     static_cast<int>(j)));
-      }
-    }
-  });
-}
-
 TEST_P(CollectivesTest, HalfAllReduce) {
   const int p = GetParam();
   const std::size_t n = 40;

@@ -143,8 +143,11 @@ TEST(MailboxTest, InterruptWakesTakeForButNotDelivery) {
   Mailbox box;
   std::vector<std::byte> out;
   TakeStatus status = TakeStatus::kOk;
+  // The epoch is read before the receiver starts, so the interrupt ends
+  // its wait even if it lands before the receiver reaches TakeFor.
+  const std::uint64_t epoch = box.InterruptEpoch();
   std::thread receiver(
-      [&] { status = box.TakeFor(0, 1, Mailbox::kForever, out); });
+      [&] { status = box.TakeFor(0, 1, Mailbox::kForever, epoch, out); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   box.Interrupt();
   receiver.join();
@@ -154,6 +157,24 @@ TEST(MailboxTest, InterruptWakesTakeForButNotDelivery) {
   EXPECT_EQ(box.TakeFor(0, 1, std::chrono::milliseconds(0), out),
             TakeStatus::kOk);
   EXPECT_EQ(out, Bytes({3}));
+}
+
+TEST(MailboxTest, InterruptBeforeTakeForIsNotLost) {
+  // An Interrupt between reading the epoch and entering the wait (the
+  // window where a caller checks its failure state) must still end an
+  // unbounded wait at once.
+  Mailbox box;
+  std::vector<std::byte> out;
+  const std::uint64_t epoch = box.InterruptEpoch();
+  box.Interrupt();
+  EXPECT_EQ(box.TakeFor(0, 1, Mailbox::kForever, epoch, out),
+            TakeStatus::kInterrupted);
+  // Read afresh, the epoch no longer ends the wait: the box delivers.
+  box.Deposit(0, 1, Bytes({4}));
+  EXPECT_EQ(
+      box.TakeFor(0, 1, Mailbox::kForever, box.InterruptEpoch(), out),
+      TakeStatus::kOk);
+  EXPECT_EQ(out, Bytes({4}));
 }
 
 }  // namespace
