@@ -264,7 +264,10 @@ int main(int argc, char** argv) {
     rep.Add("half_add_into_gelems", n / t / 1e9);
   }
 
-  // ---- fused bias+GELU (vs the unfused kernel sequence) ----
+  // ---- transformer epilogues: bias+GELU forward/backward, causal
+  // softmax. All three run on the inline vectorized Exp; falling back to
+  // per-element libm calls makes them 2.5x (softmax) to 25x (GELU)
+  // slower, below 75% of their baselines.
   {
     const std::int64_t rows = 512, cols = 1024;
     const std::size_t n = static_cast<std::size_t>(rows * cols);
@@ -272,17 +275,30 @@ int main(int argc, char** argv) {
     auto bias = RandVec(static_cast<std::size_t>(cols), 5);
     std::vector<float> z(n), y(n);
     double t = BestSeconds([&] {
-      std::memcpy(z.data(), x.data(), n * sizeof(float));
-      zero::tensor::AddBiasRows(z.data(), bias.data(), rows, cols);
-      zero::tensor::GeluForward(z.data(), y.data(),
-                                static_cast<std::int64_t>(n));
-    });
-    rep.Add("bias_gelu_unfused_gelems", n / t / 1e9);
-    t = BestSeconds([&] {
       zero::tensor::BiasGeluForward(x.data(), bias.data(), z.data(), y.data(),
                                     rows, cols);
     });
     rep.Add("bias_gelu_fused_gelems", n / t / 1e9);
+    auto dy = RandVec(n, 9);
+    std::vector<float> dx(n), dbias(static_cast<std::size_t>(cols));
+    t = BestSeconds([&] {
+      zero::tensor::BiasGeluBackward(z.data(), dy.data(), dx.data(),
+                                     dbias.data(), rows, cols);
+    });
+    rep.Add("bias_gelu_bwd_gelems", n / t / 1e9);
+  }
+  {
+    // 16 heads of 128x128 causal attention scores, softmaxed in place
+    // (refilled from `src` each repetition; the copy is in the timing).
+    const std::int64_t heads = 16, seq = 128;
+    const std::size_t n = static_cast<std::size_t>(heads * seq * seq);
+    auto src = RandVec(n, 10);
+    std::vector<float> scores(n);
+    const double t = BestSeconds([&] {
+      std::memcpy(scores.data(), src.data(), n * sizeof(float));
+      zero::tensor::CausalMaskedSoftmax(scores.data(), heads, seq, seq);
+    });
+    rep.Add("causal_softmax_gelems", n / t / 1e9);
   }
 
   // ---- LayerNorm forward + squared-norm reduction ----

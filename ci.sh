@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# CI entry point: release build + tests, the comm suites under
-# ASan+UBSan, then the whole suite again under ThreadSanitizer. The
-# runtime is thread-per-rank SPMD over mailboxes, so TSan is the check
-# that actually matters for the comm layer — in particular the
-# nonblocking request path that overlaps stage-2 gradient reduction with
-# backward.
+# CI entry point: release build + tests, the comm, common, tensor and
+# model suites under ASan+UBSan, then the whole suite again under
+# ThreadSanitizer. The runtime is thread-per-rank SPMD over mailboxes,
+# so TSan is the check that actually matters for the comm layer — in
+# particular the nonblocking request path that overlaps stage-2
+# gradient reduction with backward.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -155,13 +155,16 @@ serve_completed=$(sed -n 's/.*"completed": \([0-9]*\).*/\1/p' \
 test "${serve_offered}" -gt 100
 test "${serve_completed}" -eq "${serve_offered}"
 
-echo "==> asan+ubsan: comm + common suites"
-# The collectives, mailbox and fp16 helpers run clean under
-# AddressSanitizer + UndefinedBehaviorSanitizer. The rest of the suite
-# joins once its load-dependent fault tests are fixed (ROADMAP item 4).
+echo "==> asan+ubsan: comm, common, tensor and model suites"
+# The collectives, mailbox, fp16 helpers, compute kernels (including the
+# inline Exp behind GELU/softmax/cross-entropy, which must stay UB-free
+# on NaN input) and the model run clean under AddressSanitizer +
+# UndefinedBehaviorSanitizer. The rest of the suite joins once its
+# load-dependent fault tests are fixed (ROADMAP item 4).
 cmake --preset asan >/dev/null
-cmake --build --preset asan -j "${JOBS}" --target test_comm test_common
-ctest --preset asan -R 'test_comm|test_common'
+cmake --build --preset asan -j "${JOBS}" \
+  --target test_comm test_common test_tensor test_model
+ctest --preset asan -R 'test_comm|test_common|test_tensor|test_model'
 
 echo "==> tsan: configure + build + ctest"
 cmake --preset tsan >/dev/null

@@ -1,7 +1,9 @@
 #include "tensor/kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -568,34 +570,85 @@ void BiasGradFromRows(const float* dy, float* dbias, std::int64_t rows,
 }
 
 namespace {
+// ---------------------------------------------------------------------------
+// Activation math: one vectorizable exp for the GELU, softmax and
+// cross-entropy epilogues (DESIGN.md §9 "Activation math").
+//
+// Straight-line float code that GCC vectorizes in every loop calling it:
+// clamp, x = n*ln2 + r with |r| <= ln2/2, e^r by a degree-6 polynomial
+// (max relative error 3.7e-9 with these float coefficients), and 2^n
+// built in the exponent field. Every a*b+c is an explicit std::fma: under
+// GCC's default -ffp-contract=fast the compiler could otherwise fuse
+// differently in a vector body than in its remainder, and an element's
+// bits would depend on its position in the row.
+//
+// Special values: NaN -> NaN; x below kExpLo ~ -126*ln2 (including -inf)
+// -> exactly 0, so masked scores get probability 0 and no result is
+// subnormal; x above kExpHi ~ 127.5*ln2 (including +inf) -> +inf.
+constexpr float kExpLo = -0x1.5d589ep+6f;  // n = -126 with r >= 0
+constexpr float kExpHi = 0x1.61814cp+6f;   // n = 127
+constexpr float kLog2e = 0x1.715476p+0f;
+constexpr float kLn2Hi = 0x1.62e430p-1f;   // ln2 = kLn2Hi + kLn2Lo
+constexpr float kLn2Lo = -0x1.05c610p-29f;
+// Adding 1.5*2^23 rounds to an integer and leaves it, two's complement,
+// in the low mantissa bits.
+constexpr float kRoundShift = 0x1.8p23f;
+
+inline float Exp(float x) {
+  // The clamp keeps every lane's intermediates finite and normal (a
+  // subnormal product costs a microcode assist); the selects at the end
+  // give the out-of-range results. Comparisons with NaN are false, so
+  // NaN passes through unchanged, and there is no float->int conversion
+  // for it to make UB.
+  const float xc = x < kExpLo ? kExpLo : (x > kExpHi ? kExpHi : x);
+  const float shifted = std::fma(xc, kLog2e, kRoundShift);
+  const float n = shifted - kRoundShift;
+  const float r = std::fma(n, -kLn2Lo, std::fma(n, -kLn2Hi, xc));
+  float p = 0x1.68532cp-10f;
+  p = std::fma(p, r, 0x1.123bccp-7f);
+  p = std::fma(p, r, 0x1.555b96p-5f);
+  p = std::fma(p, r, 0x1.55548ep-3f);
+  p = std::fma(p, r, 0x1.fffff8p-2f);
+  p = std::fma(p, r, 1.0f);
+  p = std::fma(p, r, 1.0f);
+  // n in [-126, 127]: (n + 127) << 23 is the biased exponent of 2^n.
+  const float scale = std::bit_cast<float>(
+      (std::bit_cast<std::uint32_t>(shifted) << 23) + 0x3f800000u);
+  const float y = p * scale;
+  return x < kExpLo ? 0.0f
+                    : (x > kExpHi ? std::numeric_limits<float>::infinity()
+                                  : y);
+}
+
+// tanh-approximation GELU (the GPT-2 variant), in its sigmoid form
+//   0.5*v*(1 + tanh u) = v * sigmoid(2u),  u = c*(v + a*v^3),
+// which has no 1 + tanh cancellation. sigmoid(+-2u) come from
+// e = Exp(-2|u|) <= 1, so nothing overflows for large |v|.
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-constexpr float kGeluA = 0.044715f;
+constexpr float kGeluCA = kGeluC * 0.044715f;  // c*a
 
 inline float GeluVal(float v) {
-  const float u = kGeluC * (v + kGeluA * v * v * v);
-  return 0.5f * v * (1.0f + std::tanh(u));
+  const float u = v * std::fma(kGeluCA, v * v, kGeluC);
+  const float e = Exp(-2.0f * std::fabs(u));
+  const float q = 1.0f / (1.0f + e);
+  return v * (u >= 0.0f ? q : e * q);
 }
 
+// d/dv [v * s] = s + 2*v*s*(1 - s)*du with s = sigmoid(2u) and
+// du = c*(1 + 3*a*v^2); 1 - s = sigmoid(-2u) is formed without
+// cancellation.
 inline float GeluGrad(float v) {
-  const float u = kGeluC * (v + kGeluA * v * v * v);
-  const float t = std::tanh(u);
-  const float du = kGeluC * (1.0f + 3.0f * kGeluA * v * v);
-  return 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
+  const float v2 = v * v;
+  const float u = v * std::fma(kGeluCA, v2, kGeluC);
+  const float du = std::fma(3.0f * kGeluCA, v2, kGeluC);
+  const float e = Exp(-2.0f * std::fabs(u));
+  const float q = 1.0f / (1.0f + e);
+  const float eq = e * q;
+  const float s = u >= 0.0f ? q : eq;
+  const float sm = u >= 0.0f ? eq : q;
+  return std::fma(s, 2.0f * v * sm * du, s);
 }
 }  // namespace
-
-void GeluForward(const float* x, float* y, std::int64_t n) {
-  ParallelFor(0, n, kElemChunk, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) y[i] = GeluVal(x[i]);
-  });
-}
-
-void GeluBackward(const float* x, const float* dy, float* dx,
-                  std::int64_t n) {
-  ParallelFor(0, n, kElemChunk, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) dx[i] = dy[i] * GeluGrad(x[i]);
-  });
-}
 
 void BiasGeluForward(const float* x, const float* bias, float* z, float* y,
                      std::int64_t rows, std::int64_t cols) {
@@ -773,11 +826,11 @@ namespace {
 inline void SoftmaxRow(float* xr, std::int64_t cols) {
   float mx = -std::numeric_limits<float>::infinity();
   for (std::int64_t c = 0; c < cols; ++c) mx = std::max(mx, xr[c]);
+  // Exp pass, then a separate serial sum: the first vectorizes and the
+  // second keeps a fixed summation order.
+  for (std::int64_t c = 0; c < cols; ++c) xr[c] = Exp(xr[c] - mx);
   float sum = 0.0f;
-  for (std::int64_t c = 0; c < cols; ++c) {
-    xr[c] = std::exp(xr[c] - mx);
-    sum += xr[c];
-  }
+  for (std::int64_t c = 0; c < cols; ++c) sum += xr[c];
   const float inv = 1.0f / sum;
   for (std::int64_t c = 0; c < cols; ++c) xr[c] *= inv;
 }
@@ -844,11 +897,9 @@ float CrossEntropyLoss(const float* logits, const std::int32_t* targets,
         const float* lr = logits + r * vocab;
         float mx = -std::numeric_limits<float>::infinity();
         for (std::int64_t c = 0; c < vocab; ++c) mx = std::max(mx, lr[c]);
+        for (std::int64_t c = 0; c < vocab; ++c) probs[c] = Exp(lr[c] - mx);
         double sum = 0.0;
-        for (std::int64_t c = 0; c < vocab; ++c) {
-          probs[c] = std::exp(lr[c] - mx);
-          sum += probs[c];
-        }
+        for (std::int64_t c = 0; c < vocab; ++c) sum += probs[c];
         const std::int32_t t = targets[r];
         ZERO_CHECK(t >= 0 && t < vocab, "target out of vocab range");
         const double pt = static_cast<double>(probs[t]) / sum;

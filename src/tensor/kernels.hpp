@@ -84,12 +84,9 @@ void AddBiasRows(float* x, const float* bias, std::int64_t rows,
 void BiasGradFromRows(const float* dy, float* dbias, std::int64_t rows,
                       std::int64_t cols);
 
-// tanh-approximation GELU, the variant GPT-2 uses.
-void GeluForward(const float* x, float* y, std::int64_t n);
-void GeluBackward(const float* x, const float* dy, float* dx, std::int64_t n);
-
 // Fused bias + activation epilogues: one pass over the activations
-// instead of separate bias-add and activation kernels.
+// instead of separate bias-add and activation kernels. GELU is the
+// tanh approximation GPT-2 uses.
 //   forward:  z = x + bias (saved for backward), y = act(z); z may alias x.
 //   backward: dx = dy * act'(z), dbias[cols] += column sums of dx;
 //             dx may alias dy.

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <functional>
+#include <limits>
+#include <numbers>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -97,8 +103,8 @@ TEST(GemmTest, AlphaBetaSemantics) {
 
 TEST(GeluTest, ForwardKnownValues) {
   std::vector<float> x{0.0f, 1.0f, -1.0f, 3.0f};
-  std::vector<float> y(4);
-  GeluForward(x.data(), y.data(), 4);
+  std::vector<float> bias(4, 0.0f), z(4), y(4);
+  BiasGeluForward(x.data(), bias.data(), z.data(), y.data(), 1, 4);
   EXPECT_NEAR(y[0], 0.0f, 1e-6f);
   EXPECT_NEAR(y[1], 0.8412f, 1e-3f);
   EXPECT_NEAR(y[2], -0.1588f, 1e-3f);
@@ -108,17 +114,107 @@ TEST(GeluTest, ForwardKnownValues) {
 TEST(GeluTest, BackwardMatchesFiniteDifference) {
   auto x = RandVec(8, 3);
   auto w = RandVec(8, 4);
-  std::vector<float> dx(8);
-  GeluBackward(x.data(), w.data(), dx.data(), 8);
+  std::vector<float> dx(8), dbias(8, 0.0f);
+  BiasGeluBackward(x.data(), w.data(), dx.data(), dbias.data(), 1, 8);
   CheckGradient(
       [&](const std::vector<float>& xv) {
-        std::vector<float> y(8);
-        GeluForward(xv.data(), y.data(), 8);
+        std::vector<float> bias(8, 0.0f), z(8), y(8);
+        BiasGeluForward(xv.data(), bias.data(), z.data(), y.data(), 1, 8);
         float loss = 0;
         for (int i = 0; i < 8; ++i) loss += w[static_cast<std::size_t>(i)] * y[static_cast<std::size_t>(i)];
         return loss;
       },
       x, dx, 2e-2f);
+}
+
+std::string Sci(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3e", v);
+  return buf;
+}
+
+// The tanh-approximation GELU and its derivative, in double.
+double GeluRef(double v) {
+  const double c = std::sqrt(2.0 / std::numbers::pi), a = 0.044715;
+  return 0.5 * v * (1.0 + std::tanh(c * (v + a * v * v * v)));
+}
+double GeluGradRef(double v) {
+  const double c = std::sqrt(2.0 / std::numbers::pi), a = 0.044715;
+  const double t = std::tanh(c * (v + a * v * v * v));
+  return 0.5 * (1.0 + t) +
+         0.5 * v * (1.0 - t * t) * c * (1.0 + 3.0 * a * v * v);
+}
+
+TEST(GeluTest, DenseSweepMatchesDoubleReference) {
+  const std::int64_t rows = 1025, cols = 1024;  // > 1M points
+  const std::int64_t n = rows * cols;
+  std::vector<float> x(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    x[static_cast<std::size_t>(i)] = static_cast<float>(
+        -12.0 + 24.0 * static_cast<double>(i) / static_cast<double>(n - 1));
+  }
+  std::vector<float> bias(static_cast<std::size_t>(cols), 0.0f);
+  std::vector<float> z(x.size()), y(x.size()), dx(x.size());
+  std::vector<float> ones(x.size(), 1.0f), dbias(bias.size(), 0.0f);
+  BiasGeluForward(x.data(), bias.data(), z.data(), y.data(), rows, cols);
+  BiasGeluBackward(z.data(), ones.data(), dx.data(), dbias.data(), rows,
+                   cols);
+  double max_val_err = 0.0, max_grad_err = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    max_val_err = std::max(max_val_err, std::abs(y[i] - GeluRef(x[i])));
+    max_grad_err =
+        std::max(max_grad_err, std::abs(dx[i] - GeluGradRef(x[i])));
+  }
+  RecordProperty("max_value_abs_err", Sci(max_val_err));
+  RecordProperty("max_grad_abs_err", Sci(max_grad_err));
+  EXPECT_LE(max_val_err, 1e-6);
+  EXPECT_LE(max_grad_err, 1e-6);
+}
+
+TEST(GeluTest, SpecialValues) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> x{nan, inf}, bias(2, 0.0f), z(2), y(2);
+  BiasGeluForward(x.data(), bias.data(), z.data(), y.data(), 1, 2);
+  EXPECT_TRUE(std::isnan(y[0]));
+  EXPECT_EQ(y[1], inf);
+  std::vector<float> dy(2, 1.0f), dx(2), dbias(2, 0.0f);
+  BiasGeluBackward(z.data(), dy.data(), dx.data(), dbias.data(), 1, 2);
+  EXPECT_TRUE(std::isnan(dx[0]));
+  EXPECT_TRUE(std::isnan(dbias[0]));
+}
+
+// A vector body and its scalar remainder must round alike: each output
+// of a row of any length, starting at any offset, is bit-identical to
+// the same element computed alone.
+TEST(GeluTest, OutputsIndependentOfPosition) {
+  auto src = RandVec(48, 40, 4.0f);
+  auto bsrc = RandVec(48, 41);
+  auto dsrc = RandVec(48, 42);
+  for (std::int64_t len = 1; len <= 40; ++len) {
+    for (std::size_t off = 0; off <= 4; ++off) {
+      const auto n = static_cast<std::size_t>(len);
+      std::vector<float> x(off + n), bias(off + n), dy(off + n);
+      std::copy_n(src.begin(), n, x.begin() + off);
+      std::copy_n(bsrc.begin(), n, bias.begin() + off);
+      std::copy_n(dsrc.begin(), n, dy.begin() + off);
+      std::vector<float> z(off + n), y(off + n), dx(off + n);
+      std::vector<float> dbias(off + n, 0.0f);
+      BiasGeluForward(x.data() + off, bias.data() + off, z.data() + off,
+                      y.data() + off, 1, len);
+      BiasGeluBackward(z.data() + off, dy.data() + off, dx.data() + off,
+                       dbias.data() + off, 1, len);
+      for (std::size_t i = 0; i < n; ++i) {
+        float z1 = 0.0f, y1 = 0.0f, dx1 = 0.0f, db1 = 0.0f;
+        BiasGeluForward(&src[i], &bsrc[i], &z1, &y1, 1, 1);
+        BiasGeluBackward(&z1, &dsrc[i], &dx1, &db1, 1, 1);
+        EXPECT_EQ(std::memcmp(&y[off + i], &y1, sizeof(float)), 0)
+            << "len " << len << " offset " << off << " index " << i;
+        EXPECT_EQ(std::memcmp(&dx[off + i], &dx1, sizeof(float)), 0)
+            << "len " << len << " offset " << off << " index " << i;
+      }
+    }
+  }
 }
 
 TEST(LayerNormTest, ForwardNormalizesRows) {
@@ -233,6 +329,72 @@ TEST(CausalMaskTest, UpperTriangleIsZeroAfterSoftmax) {
   }
 }
 
+TEST(SoftmaxTest, RowsMatchDoubleReference) {
+  double max_rel_err = 0.0;
+  for (std::int64_t len = 1; len <= 512; ++len) {
+    auto x = RandVec(static_cast<std::size_t>(len),
+                     100 + static_cast<std::uint64_t>(len), 3.0f);
+    std::vector<double> ref(x.begin(), x.end());
+    const double mx = *std::max_element(ref.begin(), ref.end());
+    double sum = 0.0;
+    for (double& v : ref) sum += (v = std::exp(v - mx));
+    SoftmaxRows(x.data(), 1, len);
+    for (std::size_t c = 0; c < x.size(); ++c) {
+      const double p = ref[c] / sum;
+      max_rel_err = std::max(max_rel_err, std::abs(x[c] - p) / p);
+    }
+  }
+  RecordProperty("max_rel_err", Sci(max_rel_err));
+  EXPECT_LE(max_rel_err, 4e-6);
+}
+
+TEST(SoftmaxTest, SpecialValues) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float ninf = -std::numeric_limits<float>::infinity();
+  // Masked (-inf) scores get probability exactly 0.
+  std::vector<float> masked{0.5f, ninf, -1.0f, ninf};
+  SoftmaxRows(masked.data(), 1, 4);
+  EXPECT_EQ(masked[1], 0.0f);
+  EXPECT_EQ(masked[3], 0.0f);
+  EXPECT_NEAR(masked[0] + masked[2], 1.0f, 1e-6f);
+  // A NaN score poisons its row, as the loss scaler needs.
+  std::vector<float> poisoned{0.5f, nan, -1.0f};
+  SoftmaxRows(poisoned.data(), 1, 3);
+  for (float v : poisoned) EXPECT_TRUE(std::isnan(v));
+}
+
+// Eval runs the causal softmax over seq (masked tail) while decode runs
+// it over the cached length: surrounding a row with -inf entries, which
+// moves each element to another vector lane or into the remainder, must
+// not change a single bit.
+TEST(SoftmaxTest, OutputsIndependentOfPositionAndMaskedPadding) {
+  const float ninf = -std::numeric_limits<float>::infinity();
+  for (std::int64_t len = 1; len <= 40; ++len) {
+    const auto n = static_cast<std::size_t>(len);
+    const auto src =
+        RandVec(n, 200 + static_cast<std::uint64_t>(len), 3.0f);
+    std::vector<float> want = src;
+    SoftmaxRows(want.data(), 1, len);
+    for (std::size_t off = 0; off <= 4; ++off) {
+      const std::size_t cols = off + n + 3;
+      std::vector<float> row(cols, ninf);
+      std::copy(src.begin(), src.end(), row.begin() + off);
+      SoftmaxRows(row.data(), 1, static_cast<std::int64_t>(cols));
+      EXPECT_EQ(std::memcmp(row.data() + off, want.data(), n * sizeof(float)),
+                0)
+          << "len " << len << " offset " << off;
+
+      std::vector<float> shifted(off + n);
+      std::copy(src.begin(), src.end(), shifted.begin() + off);
+      SoftmaxRows(shifted.data() + off, 1, len);
+      EXPECT_EQ(
+          std::memcmp(shifted.data() + off, want.data(), n * sizeof(float)),
+          0)
+          << "len " << len << " offset " << off;
+    }
+  }
+}
+
 TEST(CrossEntropyTest, UniformLogitsGiveLogVocab) {
   const std::int64_t rows = 2, vocab = 8;
   std::vector<float> logits(static_cast<std::size_t>(rows * vocab), 0.0f);
@@ -262,6 +424,43 @@ TEST(CrossEntropyTest, PerfectPredictionNearZeroLoss) {
   std::vector<std::int32_t> targets{0};
   EXPECT_NEAR(CrossEntropyLoss(logits.data(), targets.data(), 1, 3, nullptr),
               0.0f, 1e-4f);
+}
+
+TEST(CrossEntropyTest, NaNLogitGivesNaNLossAndGradient) {
+  std::vector<float> logits{0.5f, std::numeric_limits<float>::quiet_NaN(),
+                            -1.0f};
+  std::vector<std::int32_t> targets{0};
+  std::vector<float> dlogits(3);
+  EXPECT_TRUE(std::isnan(CrossEntropyLoss(logits.data(), targets.data(), 1,
+                                          3, dlogits.data())));
+  for (float v : dlogits) EXPECT_TRUE(std::isnan(v));
+}
+
+TEST(CrossEntropyTest, OutputsIndependentOfPositionAndMaskedPadding) {
+  const float ninf = -std::numeric_limits<float>::infinity();
+  for (std::int64_t len = 1; len <= 40; ++len) {
+    const auto n = static_cast<std::size_t>(len);
+    const auto src = RandVec(n, 300 + static_cast<std::uint64_t>(len), 3.0f);
+    const std::vector<std::int32_t> target{static_cast<std::int32_t>(n / 2)};
+    std::vector<float> want_d(n);
+    const float want =
+        CrossEntropyLoss(src.data(), target.data(), 1, len, want_d.data());
+    for (std::size_t off = 0; off <= 4; ++off) {
+      const std::size_t vocab = off + n + 3;
+      std::vector<float> row(vocab, ninf), d(vocab);
+      std::copy(src.begin(), src.end(), row.begin() + off);
+      const std::vector<std::int32_t> t{
+          target[0] + static_cast<std::int32_t>(off)};
+      const float got = CrossEntropyLoss(row.data(), t.data(), 1,
+                                         static_cast<std::int64_t>(vocab),
+                                         d.data());
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+          << "len " << len << " offset " << off;
+      EXPECT_EQ(std::memcmp(d.data() + off, want_d.data(), n * sizeof(float)),
+                0)
+          << "len " << len << " offset " << off;
+    }
+  }
 }
 
 TEST(EmbeddingTest, GatherScatterAreAdjoint) {
