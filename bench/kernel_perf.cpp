@@ -6,7 +6,9 @@
 //   * a metric regressed more than 25% against the checked-in baseline
 //     (bench/kernels_baseline.json), or
 //   * the packed-GEMM / bulk fp16-decode / fp16 gradient-path speedup
-//     floors are not met.
+//     floors are not met, or
+//   * a decode-shape GEMM on pre-packed fp32 weight panels is not
+//     faster than Gemm(false, true) on the row-major weights.
 // ZERO_BENCH_RELAX=1 downgrades failures to warnings (for noisy or
 // throttled machines).
 //
@@ -22,6 +24,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gate.hpp"
@@ -227,6 +230,47 @@ int main(int argc, char** argv) {
     }
   }
 
+  // ---- decode-shape weight GEMMs: load-time fp32 micro-panels vs the
+  // per-call strided B pack of Gemm(false, true). Serving runs each
+  // projection on a few rows against static weights, so the pack is
+  // most of the cost the panels remove. Serial, 64 calls per timing.
+  std::vector<std::pair<std::string, std::string>> decode_pairs;
+  {
+    zero::tensor::IntraOpWorkersGuard guard(1);
+    constexpr int kCalls = 64;
+    const std::pair<std::int64_t, std::int64_t> weights[] = {{384, 128},
+                                                             {512, 512}};
+    for (const auto& [n, k] : weights) {
+      auto w = RandVec(static_cast<std::size_t>(n * k), 11);
+      std::vector<float> panels(
+          static_cast<std::size_t>(zero::tensor::PanelElems(n, k)));
+      zero::tensor::PackPanelsT(w.data(), n, k, panels.data());
+      for (const std::int64_t m : {1, 4, 32}) {
+        auto a = RandVec(static_cast<std::size_t>(m * k), 12);
+        std::vector<float> c(static_cast<std::size_t>(m * n));
+        const double flops = 2.0 * m * n * k * kCalls;
+        const std::string key = "gemm_decode_m" + std::to_string(m) + "_" +
+                                std::to_string(n) + "x" + std::to_string(k);
+        double t = BestSeconds([&] {
+          for (int i = 0; i < kCalls; ++i) {
+            zero::tensor::Gemm(false, true, m, n, k, 1.0f, a.data(), w.data(),
+                               0.0f, c.data());
+          }
+        });
+        rep.Add(key + "_flat_gflops", flops / t / 1e9);
+        t = BestSeconds([&] {
+          for (int i = 0; i < kCalls; ++i) {
+            zero::tensor::GemmPanelsT(m, n, k, 1.0f, a.data(), panels.data(),
+                                      0.0f, c.data());
+          }
+        });
+        rep.Add(key + "_panels_gflops", flops / t / 1e9);
+        decode_pairs.emplace_back(key + "_flat_gflops",
+                                  key + "_panels_gflops");
+      }
+    }
+  }
+
   // ---- bulk fp16 conversion (L2-resident working set) ----
   {
     const std::size_t n = 1u << 16;
@@ -381,6 +425,16 @@ int main(int argc, char** argv) {
     std::ostringstream os;
     os << "HalfAddInto speedup " << half_add_speedup << "x < 5x floor";
     gates.Fail(os.str());
+  }
+
+  // Pre-packed panels must beat the per-call pack at every decode shape.
+  for (const auto& [flat, panels] : decode_pairs) {
+    if (rep.values[panels] <= rep.values[flat]) {
+      std::ostringstream os;
+      os << panels << " " << rep.values[panels] << " not above " << flat
+         << " " << rep.values[flat];
+      gates.Fail(os.str());
+    }
   }
 
   const auto baseline = LoadBaseline(baseline_path);

@@ -13,29 +13,6 @@ namespace zero::model {
 
 using tensor::Tensor;
 
-// Parameter-access seam the two DecodeForward overloads share (declared
-// in gpt.hpp, implemented below for the provider and the packed store).
-// Offsets are unit-relative — the same coordinates LayerOffsets holds.
-class DecodeParamAccess {
- public:
-  virtual ~DecodeParamAccess() = default;
-  // Bracket every parameter touch of `unit`; Vec pointers stay valid
-  // until the matching EndUnit.
-  virtual void BeginUnit(int unit) = 0;
-  virtual void EndUnit(int unit) = 0;
-  // fp32 pointer to the start of a vector-class entry (bias, LN, wpe).
-  virtual const float* Vec(int unit, std::int64_t off) = 0;
-  // C[m,n] = alpha * A[m,k] * W[n,k]^T + beta * C for the weight matrix
-  // entry at (unit, off).
-  virtual void WeightGemm(int unit, std::int64_t off, std::int64_t m,
-                          std::int64_t n, std::int64_t k, float alpha,
-                          const float* a, float beta, float* c) = 0;
-  // dst[0..cols) = fp32 row `row` of the [rows, cols] matrix at
-  // (unit, off) — embedding gathers.
-  virtual void WeightRow(int unit, std::int64_t off, std::int64_t row,
-                         std::int64_t cols, float* dst) = 0;
-};
-
 namespace {
 
 // Parameter codes for deterministic per-row init streams.
@@ -592,84 +569,9 @@ float GptModel::EvalForwardLogits(const Batch& batch, ParamProvider& params,
   return loss;
 }
 
-namespace {
-
-// Provider-backed access: identical pointers through the identical
-// tensor::Gemm calls the pre-seam DecodeForward made, so this path is
-// bitwise what it always was.
-class ProviderDecodeAccess final : public DecodeParamAccess {
- public:
-  explicit ProviderDecodeAccess(ParamProvider& params) : params_(params) {}
-  void BeginUnit(int unit) override {
-    cur_ = params_.AcquireUnit(unit, Phase::kForward);
-  }
-  void EndUnit(int unit) override {
-    params_.ReleaseUnit(unit, Phase::kForward);
-    cur_ = {};
-  }
-  const float* Vec(int, std::int64_t off) override {
-    return cur_.data() + off;
-  }
-  void WeightGemm(int, std::int64_t off, std::int64_t m, std::int64_t n,
-                  std::int64_t k, float alpha, const float* a, float beta,
-                  float* c) override {
-    tensor::Gemm(false, true, m, n, k, alpha, a, cur_.data() + off, beta, c);
-  }
-  void WeightRow(int, std::int64_t off, std::int64_t row, std::int64_t cols,
-                 float* dst) override {
-    std::memcpy(dst, cur_.data() + off + row * cols,
-                static_cast<std::size_t>(cols) * sizeof(float));
-  }
-
- private:
-  ParamProvider& params_;
-  std::span<const float> cur_;
-};
-
-// Packed-store access: weights live engine-side in a GEMM backend's
-// native precision; units are always resident, so Begin/End are no-ops.
-class PackedDecodeAccess final : public DecodeParamAccess {
- public:
-  explicit PackedDecodeAccess(const ServingWeights& weights)
-      : weights_(weights) {}
-  void BeginUnit(int) override {}
-  void EndUnit(int) override {}
-  const float* Vec(int unit, std::int64_t off) override {
-    return weights_.Vec(unit, off);
-  }
-  void WeightGemm(int unit, std::int64_t off, std::int64_t m, std::int64_t n,
-                  std::int64_t k, float alpha, const float* a, float beta,
-                  float* c) override {
-    weights_.GemmWeightT(unit, off, m, n, k, alpha, a, beta, c);
-  }
-  void WeightRow(int unit, std::int64_t off, std::int64_t row,
-                 std::int64_t cols, float* dst) override {
-    weights_.DecodeRow(unit, off, row, cols, dst);
-  }
-
- private:
-  const ServingWeights& weights_;
-};
-
-}  // namespace
-
-int GptModel::DecodeForward(std::span<const DecodeToken> tokens,
-                            ParamProvider& params, KvCache& kv,
-                            std::span<float> logits_out) {
-  ProviderDecodeAccess access(params);
-  return DecodeForwardImpl(tokens, access, kv, logits_out);
-}
-
 int GptModel::DecodeForward(std::span<const DecodeToken> tokens,
                             const ServingWeights& weights, KvCache& kv,
                             std::span<float> logits_out) {
-  PackedDecodeAccess access(weights);
-  return DecodeForwardImpl(tokens, access, kv, logits_out);
-}
-
-int GptModel::DecodeForwardImpl(std::span<const DecodeToken> tokens,
-                                DecodeParamAccess& access, KvCache& kv,
-                                std::span<float> logits_out) {
   namespace K = tensor;
   const std::int64_t n = static_cast<std::int64_t>(tokens.size());
   ZERO_CHECK(n > 0, "empty decode step");
@@ -708,111 +610,70 @@ int GptModel::DecodeForwardImpl(std::span<const DecodeToken> tokens,
   // ---- embedding ----
   Tensor x = NewAct({n, h});
   {
-    access.BeginUnit(0);
-    const float* wpe = access.Vec(0, off_wpe_);
+    const float* wpe = weights.Vec(0, off_wpe_);
     std::vector<float> te(static_cast<std::size_t>(h));
     float* xp = x.f32().data();
     for (std::int64_t i = 0; i < n; ++i) {
       const DecodeToken& t = tokens[static_cast<std::size_t>(i)];
       ZERO_CHECK(t.token >= 0 && t.token < v, "token id out of range");
-      access.WeightRow(0, off_wte_, t.token, h, te.data());
+      weights.DecodeRow(0, off_wte_, t.token, h, te.data());
       const float* pe = wpe + t.pos * h;
       float* row = xp + i * h;
       for (std::int64_t c = 0; c < h; ++c) row[c] = te[c] + pe[c];
     }
-    access.EndUnit(0);
   }
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-  // Per-(group, head) scratch, packed contiguous so attention runs
-  // through the same Gemm kernel as BlockForward (see the bit-exactness
-  // note below).
-  std::vector<float> q_pack, k_pack, v_pack, scores, att_pad, ctx_head;
+  // One group's cached K/V row pointers for the current layer.
+  std::vector<float*> k_rows, v_rows;
 
   for (int l = 0; l < layers; ++l) {
     const int unit = l + 1;
-    access.BeginUnit(unit);
 
     Tensor ln1_mean = NewAct({n});
     Tensor ln1_rstd = NewAct({n});
     Tensor a = NewAct({n, h});
-    K::LayerNormForward(x.f32().data(), access.Vec(unit, lo_.ln1_g),
-                        access.Vec(unit, lo_.ln1_b), a.f32().data(),
+    K::LayerNormForward(x.f32().data(), weights.Vec(unit, lo_.ln1_g),
+                        weights.Vec(unit, lo_.ln1_b), a.f32().data(),
                         ln1_mean.f32().data(), ln1_rstd.f32().data(), n, h,
                         config_.ln_eps);
 
     Tensor qkv = NewAct({n, 3 * hm});
-    access.WeightGemm(unit, lo_.w_qkv, n, 3 * hm, h, 1.0f, a.f32().data(),
-                      0.0f, qkv.f32().data());
-    K::AddBiasRows(qkv.f32().data(), access.Vec(unit, lo_.b_qkv), n, 3 * hm);
+    weights.GemmWeightT(unit, lo_.w_qkv, n, 3 * hm, h, 1.0f, a.f32().data(),
+                        0.0f, qkv.f32().data());
+    K::AddBiasRows(qkv.f32().data(), weights.Vec(unit, lo_.b_qkv), n,
+                   3 * hm);
 
-    // Append this step's K/V rows to the cache before attending, so
-    // tokens later in a prefill chunk see earlier ones.
+    // Paged causal attention against the cached prefix, read in place.
+    // The GEMM accumulation contract makes every score and context
+    // element bitwise the full forward's (kernels.hpp), so nothing is
+    // staged or padded.
     const float* qkvp = qkv.f32().data();
-    for (std::int64_t i = 0; i < n; ++i) {
-      const DecodeToken& t = tokens[static_cast<std::size_t>(i)];
-      std::memcpy(kv.KRow(t.slot, l, t.pos), qkvp + i * 3 * hm + hm,
-                  static_cast<std::size_t>(hm) * sizeof(float));
-      std::memcpy(kv.VRow(t.slot, l, t.pos), qkvp + i * 3 * hm + 2 * hm,
-                  static_cast<std::size_t>(hm) * sizeof(float));
-    }
-
-    // Paged causal attention against the cached prefix. Q and the
-    // cached K/V prefix are packed contiguous per (group, head) and fed
-    // through K::Gemm — the same compiled kernel BlockForward's
-    // attention uses. The context GEMM is zero-padded out to k = seq so
-    // its reduction length matches the full forward exactly: with
-    // -ffp-contract the kernel's unrolled body and remainder path can
-    // round mul+add differently, so the same values summed over k_len
-    // versus seq terms may differ in the last bit. Padded terms multiply
-    // a +0 attention weight and leave the accumulator bitwise unchanged,
-    // which keeps decode logits bit-exact vs the full forward.
-    const std::int64_t s_full = config_.seq;
     Tensor ctx = NewAct({n, hm});
     float* ctxp = ctx.f32().data();
     for (const Group& g : groups) {
       const std::int64_t q_len = g.end - g.begin;
-      const DecodeToken& first = tokens[static_cast<std::size_t>(g.begin)];
-      const std::int64_t k_len =
-          tokens[static_cast<std::size_t>(g.end - 1)].pos + 1;
-      const std::int32_t slot = first.slot;
-      for (std::int64_t head = 0; head < lh; ++head) {
-        q_pack.resize(static_cast<std::size_t>(q_len * hd));
-        k_pack.resize(static_cast<std::size_t>(k_len * hd));
-        v_pack.assign(static_cast<std::size_t>(s_full * hd), 0.0f);
-        for (std::int64_t qi = 0; qi < q_len; ++qi) {
-          std::memcpy(q_pack.data() + qi * hd,
-                      qkvp + (g.begin + qi) * 3 * hm + head * hd,
-                      static_cast<std::size_t>(hd) * sizeof(float));
-        }
-        for (std::int64_t j = 0; j < k_len; ++j) {
-          std::memcpy(k_pack.data() + j * hd,
-                      kv.KRow(slot, l, j) + head * hd,
-                      static_cast<std::size_t>(hd) * sizeof(float));
-          std::memcpy(v_pack.data() + j * hd,
-                      kv.VRow(slot, l, j) + head * hd,
-                      static_cast<std::size_t>(hd) * sizeof(float));
-        }
-        // Scores reduce over hd (a fixed length), so no padding needed.
-        scores.resize(static_cast<std::size_t>(q_len * k_len));
-        K::Gemm(false, true, q_len, k_len, hd, scale, q_pack.data(),
-                k_pack.data(), 0.0f, scores.data());
-        K::CausalMaskedSoftmax(scores.data(), 1, q_len, k_len);
-        att_pad.assign(static_cast<std::size_t>(q_len * s_full), 0.0f);
-        for (std::int64_t qi = 0; qi < q_len; ++qi) {
-          std::memcpy(att_pad.data() + qi * s_full,
-                      scores.data() + qi * k_len,
-                      static_cast<std::size_t>(k_len) * sizeof(float));
-        }
-        ctx_head.resize(static_cast<std::size_t>(q_len * hd));
-        K::Gemm(false, false, q_len, hd, s_full, 1.0f, att_pad.data(),
-                v_pack.data(), 0.0f, ctx_head.data());
-        for (std::int64_t qi = 0; qi < q_len; ++qi) {
-          std::memcpy(ctxp + (g.begin + qi) * hm + head * hd,
-                      ctx_head.data() + qi * hd,
-                      static_cast<std::size_t>(hd) * sizeof(float));
-        }
+      const std::int64_t pos0 = tokens[static_cast<std::size_t>(g.begin)].pos;
+      const std::int32_t slot = tokens[static_cast<std::size_t>(g.begin)].slot;
+      const std::int64_t k_len = pos0 + q_len;
+      k_rows.resize(static_cast<std::size_t>(k_len));
+      v_rows.resize(static_cast<std::size_t>(k_len));
+      for (std::int64_t j = 0; j < k_len; ++j) {
+        k_rows[static_cast<std::size_t>(j)] = kv.KRow(slot, l, j);
+        v_rows[static_cast<std::size_t>(j)] = kv.VRow(slot, l, j);
       }
+      // Append this step's K/V rows before attending, so tokens later in
+      // a prefill chunk see earlier ones.
+      for (std::int64_t t = 0; t < q_len; ++t) {
+        const float* row = qkvp + (g.begin + t) * 3 * hm;
+        K::PackKeyRow(row + hm, lh, hd,
+                      k_rows[static_cast<std::size_t>(pos0 + t)]);
+        std::memcpy(v_rows[static_cast<std::size_t>(pos0 + t)], row + 2 * hm,
+                    static_cast<std::size_t>(hm) * sizeof(float));
+      }
+      K::PagedCausalAttention(q_len, pos0, lh, hd, scale,
+                              qkvp + g.begin * 3 * hm, 3 * hm, k_rows.data(),
+                              v_rows.data(), ctxp + g.begin * hm, hm);
     }
 
     // Attention output projection (row-parallel) + MP all-reduce #1. The
@@ -820,12 +681,12 @@ int GptModel::DecodeForwardImpl(std::span<const DecodeToken> tokens,
     Tensor x_mid = NewAct({n, h});
     {
       Tensor o = NewAct({n, h});
-      access.WeightGemm(unit, lo_.w_o, n, h, hm, 1.0f, ctxp, 0.0f,
-                        o.f32().data());
+      weights.GemmWeightT(unit, lo_.w_o, n, h, hm, 1.0f, ctxp, 0.0f,
+                          o.f32().data());
       if (session_.mp != nullptr && session_.mp->size() > 1) {
         comm::IAllReduce(*session_.mp, o.f32(), comm::ReduceOp::kSum).Wait();
       }
-      K::AddBiasRows(o.f32().data(), access.Vec(unit, lo_.b_o), n, h);
+      K::AddBiasRows(o.f32().data(), weights.Vec(unit, lo_.b_o), n, h);
       const float* ov = o.f32().data();
       const float* xp = x.f32().data();
       float* xm = x_mid.f32().data();
@@ -835,34 +696,33 @@ int GptModel::DecodeForwardImpl(std::span<const DecodeToken> tokens,
     Tensor ln2_mean = NewAct({n});
     Tensor ln2_rstd = NewAct({n});
     Tensor b2 = NewAct({n, h});
-    K::LayerNormForward(x_mid.f32().data(), access.Vec(unit, lo_.ln2_g),
-                        access.Vec(unit, lo_.ln2_b), b2.f32().data(),
+    K::LayerNormForward(x_mid.f32().data(), weights.Vec(unit, lo_.ln2_g),
+                        weights.Vec(unit, lo_.ln2_b), b2.f32().data(),
                         ln2_mean.f32().data(), ln2_rstd.f32().data(), n, h,
                         config_.ln_eps);
 
     Tensor h1 = NewAct({n, im});
-    access.WeightGemm(unit, lo_.w_fc, n, im, h, 1.0f, b2.f32().data(), 0.0f,
-                      h1.f32().data());
+    weights.GemmWeightT(unit, lo_.w_fc, n, im, h, 1.0f, b2.f32().data(), 0.0f,
+                        h1.f32().data());
     Tensor f = NewAct({n, im});
-    K::BiasGeluForward(h1.f32().data(), access.Vec(unit, lo_.b_fc),
+    K::BiasGeluForward(h1.f32().data(), weights.Vec(unit, lo_.b_fc),
                        h1.f32().data(), f.f32().data(), n, im);
 
     // MLP output projection (row-parallel) + MP all-reduce #2.
     Tensor x_next = NewAct({n, h});
     {
       Tensor p = NewAct({n, h});
-      access.WeightGemm(unit, lo_.w_pr, n, h, im, 1.0f, f.f32().data(), 0.0f,
-                        p.f32().data());
+      weights.GemmWeightT(unit, lo_.w_pr, n, h, im, 1.0f, f.f32().data(),
+                          0.0f, p.f32().data());
       if (session_.mp != nullptr && session_.mp->size() > 1) {
         comm::IAllReduce(*session_.mp, p.f32(), comm::ReduceOp::kSum).Wait();
       }
-      K::AddBiasRows(p.f32().data(), access.Vec(unit, lo_.b_pr), n, h);
+      K::AddBiasRows(p.f32().data(), weights.Vec(unit, lo_.b_pr), n, h);
       const float* pv = p.f32().data();
       const float* xm = x_mid.f32().data();
       float* xo = x_next.f32().data();
       for (std::int64_t i = 0; i < n * h; ++i) xo[i] = xm[i] + pv[i];
     }
-    access.EndUnit(unit);
     x = std::move(x_next);
   }
 
@@ -882,20 +742,12 @@ int GptModel::DecodeForwardImpl(std::span<const DecodeToken> tokens,
   Tensor lnf_mean = NewAct({n_groups});
   Tensor lnf_rstd = NewAct({n_groups});
   Tensor y = NewAct({n_groups, h});
-  {
-    access.BeginUnit(unit_f);
-    K::LayerNormForward(last.f32().data(), access.Vec(unit_f, off_lnf_g_),
-                        access.Vec(unit_f, off_lnf_b_), y.f32().data(),
-                        lnf_mean.f32().data(), lnf_rstd.f32().data(),
-                        n_groups, h, config_.ln_eps);
-    access.EndUnit(unit_f);
-  }
-  {
-    access.BeginUnit(0);
-    access.WeightGemm(0, off_wte_, n_groups, v, h, 1.0f, y.f32().data(),
-                      0.0f, logits_out.data());
-    access.EndUnit(0);
-  }
+  K::LayerNormForward(last.f32().data(), weights.Vec(unit_f, off_lnf_g_),
+                      weights.Vec(unit_f, off_lnf_b_), y.f32().data(),
+                      lnf_mean.f32().data(), lnf_rstd.f32().data(), n_groups,
+                      h, config_.ln_eps);
+  weights.GemmWeightT(0, off_wte_, n_groups, v, h, 1.0f, y.f32().data(), 0.0f,
+                      logits_out.data());
   return static_cast<int>(n_groups);
 }
 

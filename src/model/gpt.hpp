@@ -30,8 +30,7 @@
 
 namespace zero::model {
 
-class ServingWeights;   // model/serving_weights.hpp
-class DecodeParamAccess;  // internal decode parameter seam (gpt.cpp)
+class ServingWeights;  // model/serving_weights.hpp
 
 struct GptConfig {
   std::int64_t vocab = 64;
@@ -65,10 +64,12 @@ struct DecodeToken {
 };
 
 // Paged per-sequence K/V storage, provided by the serve layer. Rows hold
-// this rank's local heads only (hidden / mp floats, head-major — the
-// same column order as a qkv projection row), so an MP-sharded engine
-// caches exactly its slice. Row pointers need not be contiguous across
-// positions: the serve pool hands out block-granular storage.
+// this rank's local heads only (hidden / mp floats), so an MP-sharded
+// engine caches exactly its slice. V rows are head-major, the column
+// order of a qkv projection row; K rows are dimension-major, as
+// tensor::PackKeyRow writes them for the attention kernel. Row pointers
+// need not be contiguous across positions: the serve pool hands out
+// block-granular storage.
 class KvCache {
  public:
   virtual ~KvCache() = default;
@@ -104,23 +105,18 @@ class GptModel final : public FlatParamModel {
   float EvalForwardLogits(const Batch& batch, ParamProvider& params,
                           std::span<float> logits_out);
 
-  // Packed incremental decode: one batched block forward over all tokens
-  // of a serving step. Appends every token's K/V rows to `kv`, attends
-  // against the cached prefix, and writes logits for the *last* token of
-  // each sequence group into consecutive rows of `logits_out` (group
-  // order). Returns the number of groups. Attention uses serial
-  // accumulation in cached-key order, which keeps greedy-decode logits
-  // bit-exact vs EvalForwardLogits whenever the projection GEMMs take
-  // per-element-identical paths (see DESIGN.md §16).
-  int DecodeForward(std::span<const DecodeToken> tokens,
-                    ParamProvider& params, KvCache& kv,
-                    std::span<float> logits_out);
-
-  // Same forward over engine-resident packed weights (a GEMM-backend
-  // encoding of the local shard). The "fp32" backend runs the identical
-  // kernels on identical floats, so this overload is memcmp-bit-exact
-  // with the provider one; reduced-precision backends keep greedy decode
-  // equivalent within the bounded logit error DESIGN.md §16 documents.
+  // Packed incremental decode over engine-resident serving weights (a
+  // GEMM-backend encoding of the local shard): one batched block forward
+  // over all tokens of a serving step. Appends every token's K/V rows to
+  // `kv`, attends against the cached prefix in place
+  // (tensor::PagedCausalAttention), and writes logits for the *last*
+  // token of each sequence group into consecutive rows of `logits_out`
+  // (group order). Returns the number of groups. Every kernel it runs
+  // computes each output element independently of the batch shape
+  // (tensor::Gemm's accumulation contract), so with the "fp32" backend
+  // the logits are memcmp-equal to EvalForwardLogits at any model
+  // shape; reduced-precision backends stay within the bounded logit
+  // error DESIGN.md §16 documents.
   int DecodeForward(std::span<const DecodeToken> tokens,
                     const ServingWeights& weights, KvCache& kv,
                     std::span<float> logits_out);
@@ -144,14 +140,6 @@ class GptModel final : public FlatParamModel {
   [[nodiscard]] int mp_rank() const;
 
  private:
-  // Internal seam the two DecodeForward overloads share: parameter
-  // access abstracted to vector pointers, weight GEMMs and embedding-row
-  // decodes, so the forward body is written once and the provider path
-  // stays bitwise what it was before packed weights existed.
-  int DecodeForwardImpl(std::span<const DecodeToken> tokens,
-                        DecodeParamAccess& access, KvCache& kv,
-                        std::span<float> logits_out);
-
   struct LayerOffsets {
     std::int64_t ln1_g, ln1_b;
     std::int64_t w_qkv, b_qkv;  // column-parallel: [3*H/m, H], [3*H/m]

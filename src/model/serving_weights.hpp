@@ -7,16 +7,16 @@
 // consumed through the backend's fused GemmWeightT — no fp32 copy of a
 // weight matrix is ever materialized after packing. Entries whose
 // layout registered a [rows, cols] shape use the backend's shape-aware
-// Matrix* encoding, which lets fp16 pre-pack weights into the GEMM's
-// micro-panel layout once at load (bitwise-equal results, the strided
-// per-call pack replaced by one contiguous bulk decode). Vector-class
-// entries (biases, layer-norm gains, the positional table) stay fp32 in
-// a sidecar: they are O(hidden) each, consumed by elementwise kernels,
-// and keeping them exact means the "fp32" backend makes the whole
-// serving forward memcmp-bit-exact with the provider-backed one.
+// Matrix* encoding, which lets fp32 and fp16 pre-pack weights into the
+// GEMM's micro-panel layout once at load (bitwise-equal results, no
+// per-call strided pack). Vector-class entries (biases, layer-norm
+// gains, the positional table) stay fp32 in a sidecar: they are
+// O(hidden) each, consumed by elementwise kernels, and keeping them
+// exact means the "fp32" backend makes the whole serving forward
+// memcmp-bit-exact with the trainer's eval forward.
 //
 // Lookups are keyed by (unit, unit-relative offset) — the coordinates
-// GptModel::DecodeForward already uses for every parameter access.
+// GptModel::DecodeForward uses for every parameter access.
 #pragma once
 
 #include <cstddef>

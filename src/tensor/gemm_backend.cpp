@@ -66,10 +66,32 @@ class F32Backend final : public GemmBackend {
                    float alpha, const float* a, const std::byte* packed,
                    std::int64_t off, float beta, float* c) const override {
     // Exact passthrough: identical floats through the identical kernel
-    // and dispatch, so the fp32 serving path stays memcmp-bit-exact
-    // with the provider-backed forward.
+    // and dispatch.
     Gemm(false, true, m, n, k, alpha, a,
          reinterpret_cast<const float*>(packed) + off, beta, c);
+  }
+
+  // Matrix entries are stored as the GEMM's micro-panels, which the
+  // micro-kernel reads in place: no per-call B pack at all.
+  [[nodiscard]] std::size_t PackedMatrixBytes(
+      std::int64_t n, std::int64_t k) const override {
+    return static_cast<std::size_t>(PanelElems(n, k)) * sizeof(float);
+  }
+  void PackMatrix(const float* src, std::int64_t n, std::int64_t k,
+                  std::byte* dst) const override {
+    PackPanelsT(src, n, k, reinterpret_cast<float*>(dst));
+  }
+  void DecodeMatrixRow(const std::byte* packed, std::int64_t n,
+                       std::int64_t k, std::int64_t row,
+                       float* dst) const override {
+    ZERO_CHECK(row >= 0 && row < n, "matrix row decode out of range");
+    DecodePanelRow(reinterpret_cast<const float*>(packed), n, k, row, dst);
+  }
+  void MatrixGemmWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
+                         float alpha, const float* a, const std::byte* packed,
+                         float beta, float* c) const override {
+    GemmPanelsT(m, n, k, alpha, a, reinterpret_cast<const float*>(packed),
+                beta, c);
   }
 };
 
@@ -98,14 +120,11 @@ class F16Backend final : public GemmBackend {
                     reinterpret_cast<const Half*>(packed) + off, beta, c);
   }
 
-  // Matrix entries pre-pack into the GEMM's micro-panel layout at load
-  // time (kernels.hpp panel entry points): per call the B pack becomes
-  // one contiguous bulk fp16 decode instead of a strided walk, which is
-  // where the fp16 serving throughput win comes from. Bitwise equal to
-  // the flat encoding through the shared kernels.
+  // Matrix entries use the same micro-panel layout as fp32, stored as
+  // fp16: per call the B pack is one contiguous bulk decode per tile.
   [[nodiscard]] std::size_t PackedMatrixBytes(
       std::int64_t n, std::int64_t k) const override {
-    return static_cast<std::size_t>(HalfPanelElems(n, k)) * sizeof(Half);
+    return static_cast<std::size_t>(PanelElems(n, k)) * sizeof(Half);
   }
   void PackMatrix(const float* src, std::int64_t n, std::int64_t k,
                   std::byte* dst) const override {

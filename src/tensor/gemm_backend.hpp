@@ -12,15 +12,16 @@
 // with A fp32 activations and W a packed weight matrix in the backend's
 // native storage. Built-in backends:
 //
-//   "fp32"  — passthrough: stores the identical floats and calls the
-//             identical tensor::Gemm, so serving through it stays
-//             memcmp-bit-exact with the fp32 provider path.
+//   "fp32"  — the identical floats. Shaped matrices are stored as the
+//             GEMM's micro-panels (PackPanelsT), which the micro-kernel
+//             reads in place, so serving through it is memcmp-bit-exact
+//             with tensor::Gemm on the trainer's weights and packs no B
+//             operand per call.
 //   "fp16"  — Half storage (2 bytes/elem), decoded inside the GEMM's
 //             pack step (kernels.hpp GemmHalfWeightT) — no fp32 copy of
-//             the weights is ever materialized. Shaped matrices are
-//             pre-packed into the GEMM's micro-panel layout at load
-//             (PackHalfPanelsT), so the per-call B pack is one
-//             contiguous bulk decode.
+//             the weights is ever materialized. Shaped matrices use the
+//             same micro-panel layout as fp32 (PackHalfPanelsT), so the
+//             per-call B pack is one contiguous bulk decode per tile.
 //   "int8"  — blockwise-int8 codes (tensor/quantize wire discipline)
 //             with the per-block scales pre-decoded to fp32; ~4x
 //             smaller than fp32, bounded per-element error absmax/127.
@@ -67,12 +68,11 @@ class GemmBackend {
 
   // Shape-aware matrix encoding: a [n, k] weight matrix packed as one
   // unit, with the shape known at pack time. The defaults reuse the
-  // flat row-major encoding above; a backend overrides them when a
-  // bespoke layout pays (fp16 stores pre-packed GEMM micro-panels, so
-  // the per-call B pack collapses to one contiguous bulk decode). Every
-  // override must keep MatrixGemmWeightT bitwise equal to GemmWeightT
-  // on the flat encoding of the same floats — the layout is a storage
-  // choice, never a numerics choice.
+  // flat row-major encoding above; fp32 and fp16 override them with
+  // pre-packed GEMM micro-panels. Every override must keep
+  // MatrixGemmWeightT bitwise equal to GemmWeightT on the flat encoding
+  // of the same floats — the layout is a storage choice, never a
+  // numerics choice.
   [[nodiscard]] virtual std::size_t PackedMatrixBytes(std::int64_t n,
                                                       std::int64_t k) const;
   virtual void PackMatrix(const float* src, std::int64_t n, std::int64_t k,

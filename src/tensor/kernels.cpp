@@ -59,21 +59,81 @@ inline float OpB(const float* b, bool trans, std::int64_t k, std::int64_t n,
   return trans ? b[j * k + kk] : b[kk * n + j];
 }
 
-// Direct path for small problems: every C element is one serial dot
-// product, row-partitioned. No zero-multiplicand skipping — 0 * Inf
-// must produce NaN for the loss-scaler's overflow detection.
+// C = beta * C ahead of the accumulation (beta == 0 overwrites, so
+// NaN/Inf already in C do not leak through).
+void ApplyBeta(float beta, float* c, std::int64_t mn) {
+  if (beta == 0.0f) {
+    ParallelFor(0, mn, kElemChunk, [&](std::int64_t b0, std::int64_t e0) {
+      std::memset(c + b0, 0, static_cast<std::size_t>(e0 - b0) * sizeof(float));
+    });
+  } else if (beta != 1.0f) {
+    Scale(c, beta, mn);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Every path below follows the accumulation contract in kernels.hpp: per
+// kKc block of k, a fresh std::fma chain over (alpha * a) * b in kk
+// order, added to C once. The explicit fma matters: under GCC's default
+// -ffp-contract=fast the compiler may fuse a plain `acc += a * b`
+// differently in a vector body than in its remainder, and then an
+// element's bits would depend on its position in a tile.
+
+// Direct path for small problems. The output columns are the SIMD lanes
+// and each lane keeps its own serial chain, so the inner loop
+// vectorizes without reassociating anything; up to kMr rows share each
+// pass over B for instruction-level parallelism. A rows are pre-scaled
+// by alpha, and a transposed B is copied to [k, n] rows first. No
+// zero-multiplicand skipping: 0 * Inf must produce NaN for the
+// loss-scaler's overflow detection.
 void SmallGemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                std::int64_t k, float alpha, const float* a, const float* b,
                float* c) {
-  ParallelFor(0, m, RowGrain(n * k), [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      float* ci = c + i * n;
-      for (std::int64_t j = 0; j < n; ++j) {
-        float acc = 0.0f;
+  alloc::ScratchArena& scratch = alloc::ThreadScratch();
+  alloc::ScratchGuard guard(scratch);
+  const float* bk = b;
+  if (trans_b) {
+    float* t = scratch.AllocateT<float>(static_cast<std::size_t>(k * n));
+    for (std::int64_t j = 0; j < n; ++j) {
+      for (std::int64_t kk = 0; kk < k; ++kk) t[kk * n + j] = b[j * k + kk];
+    }
+    bk = t;
+  }
+  const std::int64_t groups = (m + kMr - 1) / kMr;
+  ParallelFor(0, groups, RowGrain(kMr * n * k), [&](std::int64_t g0,
+                                                    std::int64_t g1) {
+    alloc::ScratchArena& task_scratch = alloc::ThreadScratch();
+    alloc::ScratchGuard task_guard(task_scratch);
+    float* as =
+        task_scratch.AllocateT<float>(static_cast<std::size_t>(kMr * k));
+    float* acc =
+        task_scratch.AllocateT<float>(static_cast<std::size_t>(kMr * n));
+    for (std::int64_t g = g0; g < g1; ++g) {
+      const std::int64_t i0 = g * kMr;
+      const std::int64_t rows = std::min(kMr, m - i0);
+      for (std::int64_t r = 0; r < rows; ++r) {
         for (std::int64_t kk = 0; kk < k; ++kk) {
-          acc += OpA(a, trans_a, m, k, i, kk) * OpB(b, trans_b, k, n, kk, j);
+          as[r * k + kk] = alpha * OpA(a, trans_a, m, k, i0 + r, kk);
         }
-        ci[j] += alpha * acc;
+      }
+      for (std::int64_t pc = 0; pc < k; pc += kKc) {
+        const std::int64_t p1 = std::min(k, pc + kKc);
+        std::memset(acc, 0, static_cast<std::size_t>(rows * n) * sizeof(float));
+        for (std::int64_t kk = pc; kk < p1; ++kk) {
+          const float* brow = bk + kk * n;
+          for (std::int64_t r = 0; r < rows; ++r) {
+            const float av = as[r * k + kk];
+            float* ar = acc + r * n;
+            for (std::int64_t j = 0; j < n; ++j) {
+              ar[j] = std::fma(av, brow[j], ar[j]);
+            }
+          }
+        }
+        for (std::int64_t r = 0; r < rows; ++r) {
+          float* ci = c + (i0 + r) * n;
+          const float* ar = acc + r * n;
+          for (std::int64_t j = 0; j < n; ++j) ci[j] += ar[j];
+        }
       }
     }
   });
@@ -81,7 +141,7 @@ void SmallGemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 
 // Packs rows [i0, i0+mc) x k-range [p0, p0+kc) of op(A) into micro-panels
 // of kMr rows: dst[(panel * kc + kk) * kMr + r], zero-padded past mc.
-// alpha is folded in here (the seed kernel multiplied it into A too).
+// alpha is folded in here, as the contract's (alpha * a) operand.
 void PackA(const float* a, bool trans, std::int64_t m, std::int64_t k,
            std::int64_t i0, std::int64_t mc, std::int64_t p0, std::int64_t kc,
            float alpha, float* dst) {
@@ -133,7 +193,7 @@ void MicroKernel(std::int64_t kc, const float* pa, const float* pb, float* c,
     for (std::int64_t r = 0; r < kMr; ++r) {
       const float av = arow[r];
       for (std::int64_t j = 0; j < kNr; ++j) {
-        acc[r][j] += av * brow[j];
+        acc[r][j] = std::fma(av, brow[j], acc[r][j]);
       }
     }
   }
@@ -150,195 +210,11 @@ void MicroKernel(std::int64_t kc, const float* pa, const float* pb, float* c,
   }
 }
 
-void PackedGemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-                std::int64_t k, float alpha, const float* a, const float* b,
-                float* c) {
-  alloc::ScratchArena& scratch = alloc::ThreadScratch();
-  alloc::ScratchGuard guard(scratch);
-  const std::int64_t nc_max = std::min(n, kNc);
-  const std::int64_t b_panels = (nc_max + kNr - 1) / kNr;
-  float* pb = scratch.AllocateT<float>(
-      static_cast<std::size_t>(b_panels * kKc * kNr));
-  const std::int64_t n_iblocks = (m + kMc - 1) / kMc;
-
-  for (std::int64_t jc = 0; jc < n; jc += kNc) {
-    const std::int64_t nc = std::min(kNc, n - jc);
-    const std::int64_t jr_panels = (nc + kNr - 1) / kNr;
-    for (std::int64_t pc = 0; pc < k; pc += kKc) {
-      const std::int64_t kc = std::min(kKc, k - pc);
-      PackB(b, trans_b, k, n, pc, kc, jc, nc, pb);
-      // Row blocks are independent: each C element accumulates its
-      // kc-panel contribution in the same serial order no matter which
-      // worker owns the block (the pc loop is a barrier).
-      ParallelFor(0, n_iblocks, 1, [&](std::int64_t ib0, std::int64_t ib1) {
-        alloc::ScratchArena& task_scratch = alloc::ThreadScratch();
-        alloc::ScratchGuard task_guard(task_scratch);
-        float* pa = task_scratch.AllocateT<float>(
-            static_cast<std::size_t>(((kMc + kMr - 1) / kMr) * kMr * kKc));
-        for (std::int64_t ib = ib0; ib < ib1; ++ib) {
-          const std::int64_t i0 = ib * kMc;
-          const std::int64_t mc = std::min(kMc, m - i0);
-          PackA(a, trans_a, m, k, i0, mc, pc, kc, alpha, pa);
-          const std::int64_t ir_panels = (mc + kMr - 1) / kMr;
-          for (std::int64_t jr = 0; jr < jr_panels; ++jr) {
-            const float* pbp = pb + jr * kc * kNr;
-            const std::int64_t j0 = jc + jr * kNr;
-            const std::int64_t nr_e = std::min<std::int64_t>(kNr, n - j0);
-            for (std::int64_t ir = 0; ir < ir_panels; ++ir) {
-              const std::int64_t r0 = i0 + ir * kMr;
-              const std::int64_t mr_e = std::min<std::int64_t>(kMr, m - r0);
-              MicroKernel(kc, pa + ir * kc * kMr, pbp, c + r0 * n + j0, n,
-                          mr_e, nr_e);
-            }
-          }
-        }
-      });
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Mixed-precision weight operands. A reader maps a flat element index of
-// the [n, k] weight matrix to fp32; Decode() handles a contiguous run
-// (one weight row's k-slice) so the blocked path can use the bulk
-// AVX-512 half decoder inside PackB instead of a per-element gather.
-struct HalfWeightReader {
-  const Half* w;
-  const float* lut;
-  float operator()(std::int64_t idx) const { return lut[w[idx].bits()]; }
-  void Decode(std::int64_t idx, std::int64_t len, float* dst) const {
-    HalfToFloat(w + idx, dst, static_cast<std::size_t>(len));
-  }
-};
-
-struct QuantWeightReader {
-  const std::int8_t* codes;
-  const float* scales;
-  std::int64_t qblock;
-  float operator()(std::int64_t idx) const {
-    return static_cast<float>(codes[idx]) * scales[idx / qblock];
-  }
-  void Decode(std::int64_t idx, std::int64_t len, float* dst) const {
-    // Split the run at quant-block boundaries so the inner loop is a
-    // contiguous int8->fp32 convert against one broadcast scale — the
-    // form the compiler vectorizes — instead of a per-element division
-    // for the scale index. Same expression per element, bitwise equal
-    // to the scalar reader.
-    std::int64_t i = idx;
-    std::int64_t o = 0;
-    while (o < len) {
-      const float s = scales[i / qblock];
-      const std::int64_t run = std::min(len - o, qblock - i % qblock);
-      const std::int8_t* cp = codes + i;
-      float* dp = dst + o;
-      for (std::int64_t j = 0; j < run; ++j) {
-        dp[j] = static_cast<float>(cp[j]) * s;
-      }
-      i += run;
-      o += run;
-    }
-  }
-};
-
-// Direct path: the small regime bounds the weight tile (n * k <=
-// kSmallGemmFlops elements), so it is bulk-decoded into thread scratch
-// and fed to the *same* SmallGemm that fp32 callers reach — bitwise the
-// decoded-fp32 result by construction. (A separate reader-based dot
-// product is not equivalent in practice: the compiler contracts the two
-// loop bodies into FMAs differently, and the last-ulp drift would break
-// the §16 envelope the serving tests pin.)
-template <class Reader>
-void SmallGemmWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
-                      float alpha, const float* a, const Reader& w,
-                      float* c) {
-  alloc::ScratchArena& scratch = alloc::ThreadScratch();
-  alloc::ScratchGuard guard(scratch);
-  float* wf = scratch.AllocateT<float>(static_cast<std::size_t>(n * k));
-  w.Decode(0, n * k, wf);
-  SmallGemm(false, true, m, n, k, alpha, a, wf, c);
-}
-
-// PackB twin for a transposed reduced-precision weight operand: panel
-// column j is weight row (j0 + ...), whose k-range [p0, p0+kc) is
-// contiguous in W — decoded in one bulk call, then scattered into the
-// kNr-interleaved panel. This is where the fp16 decode fuses into the
-// pack step.
-template <class Reader>
-void PackWeightT(const Reader& w, std::int64_t k, std::int64_t p0,
-                 std::int64_t kc, std::int64_t j0, std::int64_t nc,
-                 float* dst) {
-  float tmp[kKc];
-  const std::int64_t panels = (nc + kNr - 1) / kNr;
-  for (std::int64_t p = 0; p < panels; ++p) {
-    float* dp = dst + p * kc * kNr;
-    const std::int64_t cbase = j0 + p * kNr;
-    const std::int64_t cvalid = std::min<std::int64_t>(kNr, j0 + nc - cbase);
-    for (std::int64_t j = 0; j < cvalid; ++j) {
-      w.Decode((cbase + j) * k + p0, kc, tmp);
-      for (std::int64_t kk = 0; kk < kc; ++kk) dp[kk * kNr + j] = tmp[kk];
-    }
-    for (std::int64_t j = cvalid; j < kNr; ++j) {
-      for (std::int64_t kk = 0; kk < kc; ++kk) dp[kk * kNr + j] = 0.0f;
-    }
-  }
-}
-
-// PackedGemm twin with the B pack swapped for PackWeightT; the blocking
-// loops, A packing and micro-kernel are shared, so the float pipeline is
-// element-for-element the fp32 one.
-template <class Reader>
-void PackedGemmWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
-                       float alpha, const float* a, const Reader& w,
-                       float* c) {
-  alloc::ScratchArena& scratch = alloc::ThreadScratch();
-  alloc::ScratchGuard guard(scratch);
-  const std::int64_t nc_max = std::min(n, kNc);
-  const std::int64_t b_panels = (nc_max + kNr - 1) / kNr;
-  float* pb = scratch.AllocateT<float>(
-      static_cast<std::size_t>(b_panels * kKc * kNr));
-  const std::int64_t n_iblocks = (m + kMc - 1) / kMc;
-
-  for (std::int64_t jc = 0; jc < n; jc += kNc) {
-    const std::int64_t nc = std::min(kNc, n - jc);
-    const std::int64_t jr_panels = (nc + kNr - 1) / kNr;
-    for (std::int64_t pc = 0; pc < k; pc += kKc) {
-      const std::int64_t kc = std::min(kKc, k - pc);
-      PackWeightT(w, k, pc, kc, jc, nc, pb);
-      ParallelFor(0, n_iblocks, 1, [&](std::int64_t ib0, std::int64_t ib1) {
-        alloc::ScratchArena& task_scratch = alloc::ThreadScratch();
-        alloc::ScratchGuard task_guard(task_scratch);
-        float* pa = task_scratch.AllocateT<float>(
-            static_cast<std::size_t>(((kMc + kMr - 1) / kMr) * kMr * kKc));
-        for (std::int64_t ib = ib0; ib < ib1; ++ib) {
-          const std::int64_t i0 = ib * kMc;
-          const std::int64_t mc = std::min(kMc, m - i0);
-          PackA(a, false, m, k, i0, mc, pc, kc, alpha, pa);
-          const std::int64_t ir_panels = (mc + kMr - 1) / kMr;
-          for (std::int64_t jr = 0; jr < jr_panels; ++jr) {
-            const float* pbp = pb + jr * kc * kNr;
-            const std::int64_t j0 = jc + jr * kNr;
-            const std::int64_t nr_e = std::min<std::int64_t>(kNr, n - j0);
-            for (std::int64_t ir = 0; ir < ir_panels; ++ir) {
-              const std::int64_t r0 = i0 + ir * kMr;
-              const std::int64_t mr_e = std::min<std::int64_t>(kMr, m - r0);
-              MicroKernel(kc, pa + ir * kc * kMr, pbp, c + r0 * n + j0, n,
-                          mr_e, nr_e);
-            }
-          }
-        }
-      });
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Pre-packed fp16 panels: the tile walk below is the B-side blocking of
-// PackedGemm verbatim (jc outer over kNc column blocks, pc inner over
-// kKc k-blocks), so a matrix encoded in this order can be consumed by
-// the packed GEMM with a single contiguous bulk decode per tile in
-// place of the strided per-call pack. `fn(jc, nc, pc, kc, base)` sees
-// each tile's geometry and its element offset into the panel stream;
-// returns the total panel element count.
+// The B-side tile walk of the blocked driver (jc outer over kNc column
+// blocks, pc inner over kKc k-blocks), which is also the storage order
+// of pre-packed weight panels. `fn(jc, nc, pc, kc, base)` sees each
+// tile's geometry and its element offset into the panel stream; returns
+// the total panel element count.
 template <class Fn>
 std::int64_t ForEachPanelTile(std::int64_t n, std::int64_t k, Fn&& fn) {
   std::int64_t base = 0;
@@ -354,27 +230,28 @@ std::int64_t ForEachPanelTile(std::int64_t n, std::int64_t k, Fn&& fn) {
   return base;
 }
 
-// PackedGemmWeightT with the per-call B pack replaced by a bulk decode
-// of the pre-packed tile: pb receives bitwise the floats PackWeightT
-// would have produced (padding included — padded lanes are stored as
-// fp16 zero), and everything downstream is shared.
-void PackedGemmHalfPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,
-                           float alpha, const float* a, const Half* panels,
-                           float* c) {
+// The one blocked GEMM driver. `src.Tile(jc, nc, pc, kc, base, buf)`
+// returns the kNr-column micro-panels of op(B)'s tile (zero-padded past
+// n), either packed into `buf` or pointing at pre-packed storage; A is
+// packed per kMc row block and everything downstream is shared.
+template <class BSource>
+void BlockedGemm(bool trans_a, std::int64_t m, std::int64_t n, std::int64_t k,
+                 float alpha, const float* a, const BSource& src, float* c) {
   alloc::ScratchArena& scratch = alloc::ThreadScratch();
   alloc::ScratchGuard guard(scratch);
-  const std::int64_t nc_max = std::min(n, kNc);
-  const std::int64_t b_panels = (nc_max + kNr - 1) / kNr;
-  float* pb = scratch.AllocateT<float>(
+  const std::int64_t b_panels = (std::min(n, kNc) + kNr - 1) / kNr;
+  float* buf = scratch.AllocateT<float>(
       static_cast<std::size_t>(b_panels * kKc * kNr));
   const std::int64_t n_iblocks = (m + kMc - 1) / kMc;
 
   ForEachPanelTile(n, k, [&](std::int64_t jc, std::int64_t nc,
                              std::int64_t pc, std::int64_t kc,
                              std::int64_t base) {
+    const float* pb = src.Tile(jc, nc, pc, kc, base, buf);
     const std::int64_t jr_panels = (nc + kNr - 1) / kNr;
-    HalfToFloat(panels + base, pb,
-                static_cast<std::size_t>(jr_panels * kc * kNr));
+    // Row blocks are independent: each C element accumulates its
+    // kc-block contribution in the same serial order no matter which
+    // worker owns the block (the tile loop is a barrier).
     ParallelFor(0, n_iblocks, 1, [&](std::int64_t ib0, std::int64_t ib1) {
       alloc::ScratchArena& task_scratch = alloc::ThreadScratch();
       alloc::ScratchGuard task_guard(task_scratch);
@@ -383,7 +260,7 @@ void PackedGemmHalfPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,
       for (std::int64_t ib = ib0; ib < ib1; ++ib) {
         const std::int64_t i0 = ib * kMc;
         const std::int64_t mc = std::min(kMc, m - i0);
-        PackA(a, false, m, k, i0, mc, pc, kc, alpha, pa);
+        PackA(a, trans_a, m, k, i0, mc, pc, kc, alpha, pa);
         const std::int64_t ir_panels = (mc + kMr - 1) / kMr;
         for (std::int64_t jr = 0; jr < jr_panels; ++jr) {
           const float* pbp = pb + jr * kc * kNr;
@@ -401,24 +278,149 @@ void PackedGemmHalfPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,
   });
 }
 
+// B-tile sources for BlockedGemm.
+
+// fp32 op(B), packed per call with the strided walk.
+struct StridedB {
+  const float* b;
+  bool trans;
+  std::int64_t k, n;
+  const float* Tile(std::int64_t jc, std::int64_t nc, std::int64_t pc,
+                    std::int64_t kc, std::int64_t, float* buf) const {
+    PackB(b, trans, k, n, pc, kc, jc, nc, buf);
+    return buf;
+  }
+};
+
+// A transposed reduced-precision weight through a reader (below): panel
+// column j is weight row jc + j, whose k-range [pc, pc+kc) is contiguous
+// in W, so it is decoded in one bulk call and scattered into the
+// kNr-interleaved panel.
+template <class Reader>
+struct ReaderB {
+  const Reader& w;
+  std::int64_t k;
+  const float* Tile(std::int64_t jc, std::int64_t nc, std::int64_t pc,
+                    std::int64_t kc, std::int64_t, float* buf) const {
+    float tmp[kKc];
+    const std::int64_t panels = (nc + kNr - 1) / kNr;
+    for (std::int64_t p = 0; p < panels; ++p) {
+      float* dp = buf + p * kc * kNr;
+      const std::int64_t cbase = jc + p * kNr;
+      const std::int64_t cvalid = std::min<std::int64_t>(kNr, jc + nc - cbase);
+      for (std::int64_t j = 0; j < cvalid; ++j) {
+        w.Decode((cbase + j) * k + pc, kc, tmp);
+        for (std::int64_t kk = 0; kk < kc; ++kk) dp[kk * kNr + j] = tmp[kk];
+      }
+      for (std::int64_t j = cvalid; j < kNr; ++j) {
+        for (std::int64_t kk = 0; kk < kc; ++kk) dp[kk * kNr + j] = 0.0f;
+      }
+    }
+    return buf;
+  }
+};
+
+// Pre-packed fp16 panels: one contiguous bulk decode per tile.
+struct HalfPanelB {
+  const Half* panels;
+  const float* Tile(std::int64_t, std::int64_t nc, std::int64_t,
+                    std::int64_t kc, std::int64_t base, float* buf) const {
+    const std::int64_t jr_panels = (nc + kNr - 1) / kNr;
+    HalfToFloat(panels + base, buf,
+                static_cast<std::size_t>(jr_panels * kc * kNr));
+    return buf;
+  }
+};
+
+// Pre-packed fp32 panels: the tile is already in place.
+struct PanelB {
+  const float* panels;
+  const float* Tile(std::int64_t, std::int64_t, std::int64_t, std::int64_t,
+                    std::int64_t base, float*) const {
+    return panels + base;
+  }
+};
+
+// ---------------------------------------------------------------------------
+// Mixed-precision weight readers: Decode() maps a contiguous run of the
+// [n, k] weight matrix (one weight row's k-slice) to fp32 in bulk.
+struct HalfWeightReader {
+  const Half* w;
+  void Decode(std::int64_t idx, std::int64_t len, float* dst) const {
+    HalfToFloat(w + idx, dst, static_cast<std::size_t>(len));
+  }
+};
+
+struct QuantWeightReader {
+  const std::int8_t* codes;
+  const float* scales;
+  std::int64_t qblock;
+  void Decode(std::int64_t idx, std::int64_t len, float* dst) const {
+    // Split the run at quant-block boundaries so the inner loop is a
+    // contiguous int8->fp32 convert against one broadcast scale — the
+    // form the compiler vectorizes — instead of a per-element division
+    // for the scale index.
+    std::int64_t i = idx;
+    std::int64_t o = 0;
+    while (o < len) {
+      const float s = scales[i / qblock];
+      const std::int64_t run = std::min(len - o, qblock - i % qblock);
+      const std::int8_t* cp = codes + i;
+      float* dp = dst + o;
+      for (std::int64_t j = 0; j < run; ++j) {
+        dp[j] = static_cast<float>(cp[j]) * s;
+      }
+      i += run;
+      o += run;
+    }
+  }
+};
+
 template <class Reader>
 void GemmWeightTImpl(std::int64_t m, std::int64_t n, std::int64_t k,
                      float alpha, const float* a, const Reader& w, float beta,
                      float* c) {
-  if (beta == 0.0f) {
-    ParallelFor(0, m * n, kElemChunk, [&](std::int64_t b0, std::int64_t e0) {
-      std::memset(c + b0, 0, static_cast<std::size_t>(e0 - b0) * sizeof(float));
-    });
-  } else if (beta != 1.0f) {
-    Scale(c, beta, m * n);
-  }
+  ApplyBeta(beta, c, m * n);
   if (m <= 0 || n <= 0 || k <= 0) return;
+  BlockedGemm(false, m, n, k, alpha, a, ReaderB<Reader>{w, k}, c);
+}
 
-  if (m * n * k <= kSmallGemmFlops) {
-    SmallGemmWeightT(m, n, k, alpha, a, w, c);
-  } else {
-    PackedGemmWeightT(m, n, k, alpha, a, w, c);
-  }
+// Scatters a row-major [n, k] matrix into panel order, `zero` in the
+// padded lanes past n.
+template <class T>
+void PackPanels(const T* rows, std::int64_t n, std::int64_t k, T zero,
+                T* dst) {
+  ForEachPanelTile(n, k, [&](std::int64_t jc, std::int64_t nc,
+                             std::int64_t pc, std::int64_t kc,
+                             std::int64_t base) {
+    const std::int64_t panels = (nc + kNr - 1) / kNr;
+    for (std::int64_t p = 0; p < panels; ++p) {
+      T* dp = dst + base + p * kc * kNr;
+      const std::int64_t cbase = jc + p * kNr;
+      const std::int64_t cvalid = std::min<std::int64_t>(kNr, jc + nc - cbase);
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        T* drow = dp + kk * kNr;
+        for (std::int64_t j = 0; j < cvalid; ++j) {
+          drow[j] = rows[(cbase + j) * k + pc + kk];
+        }
+        for (std::int64_t j = cvalid; j < kNr; ++j) drow[j] = zero;
+      }
+    }
+  });
+}
+
+// Row `row` of a panel-packed matrix, element by element through `cvt`.
+template <class T, class Cvt>
+void PanelRow(const T* panels, std::int64_t n, std::int64_t k,
+              std::int64_t row, float* dst, Cvt cvt) {
+  ForEachPanelTile(n, k, [&](std::int64_t jc, std::int64_t nc,
+                             std::int64_t pc, std::int64_t kc,
+                             std::int64_t base) {
+    if (row < jc || row >= jc + nc) return;
+    const std::int64_t j = row - jc;
+    const T* dp = panels + base + j / kNr * kc * kNr + j % kNr;
+    for (std::int64_t kk = 0; kk < kc; ++kk) dst[pc + kk] = cvt(dp[kk * kNr]);
+  });
 }
 
 }  // namespace
@@ -426,27 +428,19 @@ void GemmWeightTImpl(std::int64_t m, std::int64_t n, std::int64_t k,
 void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const float* a, const float* b,
           float beta, float* c) {
-  if (beta == 0.0f) {
-    ParallelFor(0, m * n, kElemChunk, [&](std::int64_t b0, std::int64_t e0) {
-      std::memset(c + b0, 0, static_cast<std::size_t>(e0 - b0) * sizeof(float));
-    });
-  } else if (beta != 1.0f) {
-    Scale(c, beta, m * n);
-  }
+  ApplyBeta(beta, c, m * n);
   if (m <= 0 || n <= 0 || k <= 0) return;
-
   if (m * n * k <= kSmallGemmFlops) {
     SmallGemm(trans_a, trans_b, m, n, k, alpha, a, b, c);
   } else {
-    PackedGemm(trans_a, trans_b, m, n, k, alpha, a, b, c);
+    BlockedGemm(trans_a, m, n, k, alpha, a, StridedB{b, trans_b, k, n}, c);
   }
 }
 
 void GemmHalfWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
                      float alpha, const float* a, const Half* w, float beta,
                      float* c) {
-  GemmWeightTImpl(m, n, k, alpha, a,
-                  HalfWeightReader{w, HalfDecodeTable()}, beta, c);
+  GemmWeightTImpl(m, n, k, alpha, a, HalfWeightReader{w}, beta, c);
 }
 
 void GemmQuantWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -457,82 +451,50 @@ void GemmQuantWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
                   beta, c);
 }
 
-std::int64_t HalfPanelElems(std::int64_t n, std::int64_t k) {
+std::int64_t PanelElems(std::int64_t n, std::int64_t k) {
   return ForEachPanelTile(n, k,
                           [](std::int64_t, std::int64_t, std::int64_t,
                              std::int64_t, std::int64_t) {});
 }
 
+void PackPanelsT(const float* w, std::int64_t n, std::int64_t k,
+                 float* dst) {
+  PackPanels(w, n, k, 0.0f, dst);
+}
+
 void PackHalfPanelsT(const float* w, std::int64_t n, std::int64_t k,
                      Half* dst) {
-  // Encode every row with the same bulk round-to-nearest-even converter
-  // the flat fp16 encoding uses, then scatter once into panel slots —
-  // load-time only, so clarity beats cleverness here.
+  // Encode with the same bulk round-to-nearest-even converter the flat
+  // fp16 encoding uses, then scatter — load-time only.
   std::vector<Half> rows(static_cast<std::size_t>(n * k));
   FloatToHalf(w, rows.data(), rows.size());
-  ForEachPanelTile(n, k, [&](std::int64_t jc, std::int64_t nc,
-                             std::int64_t pc, std::int64_t kc,
-                             std::int64_t base) {
-    const std::int64_t panels = (nc + kNr - 1) / kNr;
-    for (std::int64_t p = 0; p < panels; ++p) {
-      Half* dp = dst + base + p * kc * kNr;
-      const std::int64_t cbase = jc + p * kNr;
-      const std::int64_t cvalid = std::min<std::int64_t>(kNr, jc + nc - cbase);
-      for (std::int64_t kk = 0; kk < kc; ++kk) {
-        Half* drow = dp + kk * kNr;
-        for (std::int64_t j = 0; j < cvalid; ++j) {
-          drow[j] = rows[static_cast<std::size_t>((cbase + j) * k + pc + kk)];
-        }
-        for (std::int64_t j = cvalid; j < kNr; ++j) {
-          drow[j] = Half::FromBits(0);
-        }
-      }
-    }
-  });
+  PackPanels(rows.data(), n, k, Half::FromBits(0), dst);
+}
+
+void DecodePanelRow(const float* panels, std::int64_t n, std::int64_t k,
+                    std::int64_t row, float* dst) {
+  PanelRow(panels, n, k, row, dst, [](float x) { return x; });
 }
 
 void DecodeHalfPanelRow(const Half* panels, std::int64_t n, std::int64_t k,
                         std::int64_t row, float* dst) {
   const float* lut = HalfDecodeTable();
-  ForEachPanelTile(n, k, [&](std::int64_t jc, std::int64_t nc,
-                             std::int64_t pc, std::int64_t kc,
-                             std::int64_t base) {
-    if (row < jc || row >= jc + nc) return;
-    const std::int64_t p = (row - jc) / kNr;
-    const std::int64_t j = (row - jc) % kNr;
-    const Half* dp = panels + base + p * kc * kNr + j;
-    for (std::int64_t kk = 0; kk < kc; ++kk) {
-      dst[pc + kk] = lut[dp[kk * kNr].bits()];
-    }
-  });
+  PanelRow(panels, n, k, row, dst, [lut](Half x) { return lut[x.bits()]; });
+}
+
+void GemmPanelsT(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+                 const float* a, const float* panels, float beta, float* c) {
+  ApplyBeta(beta, c, m * n);
+  if (m <= 0 || n <= 0 || k <= 0) return;
+  BlockedGemm(false, m, n, k, alpha, a, PanelB{panels}, c);
 }
 
 void GemmHalfPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,
                      float alpha, const float* a, const Half* panels,
                      float beta, float* c) {
-  if (beta == 0.0f) {
-    ParallelFor(0, m * n, kElemChunk, [&](std::int64_t b0, std::int64_t e0) {
-      std::memset(c + b0, 0, static_cast<std::size_t>(e0 - b0) * sizeof(float));
-    });
-  } else if (beta != 1.0f) {
-    Scale(c, beta, m * n);
-  }
+  ApplyBeta(beta, c, m * n);
   if (m <= 0 || n <= 0 || k <= 0) return;
-
-  if (m * n * k <= kSmallGemmFlops) {
-    // Same policy as SmallGemmWeightT: materialize the bounded tile
-    // row-major and run the identical SmallGemm (bitwise the fp32
-    // result; see the FMA-contraction note there).
-    alloc::ScratchArena& scratch = alloc::ThreadScratch();
-    alloc::ScratchGuard guard(scratch);
-    float* wf = scratch.AllocateT<float>(static_cast<std::size_t>(n * k));
-    for (std::int64_t row = 0; row < n; ++row) {
-      DecodeHalfPanelRow(panels, n, k, row, wf + row * k);
-    }
-    SmallGemm(false, true, m, n, k, alpha, a, wf, c);
-  } else {
-    PackedGemmHalfPanelsT(m, n, k, alpha, a, panels, c);
-  }
+  BlockedGemm(false, m, n, k, alpha, a, HalfPanelB{panels}, c);
 }
 
 void AddBiasRows(float* x, const float* bias, std::int64_t rows,
@@ -821,11 +783,40 @@ void LayerNormBackward(const float* x, const float* gamma, const float* mean,
 }
 
 namespace {
+// Row maximum with kMaxLanes independent running maxima, so the loop
+// vectorizes (a serial max chain does not without -ffast-math). Each
+// lane keeps std::max's `x > lane` selection, so NaN is never picked
+// and the result is the serial loop's value, up to the sign of a zero
+// maximum, which no caller can see: Exp(x - (+0)) == Exp(x - (-0)).
+constexpr std::int64_t kMaxLanes = 16;
+
+inline float RowMax(const float* x, std::int64_t n) {
+  float lane[kMaxLanes];
+  for (float& l : lane) l = -std::numeric_limits<float>::infinity();
+  std::int64_t c = 0;
+  for (; c + kMaxLanes <= n; c += kMaxLanes) {
+    // Kept a loop: fully unrolled, the selects stay scalar (vmaxss);
+    // as a loop, the vectorizer turns them into one vmaxps.
+#pragma GCC unroll 1
+    for (std::int64_t l = 0; l < kMaxLanes; ++l) {
+      lane[l] = x[c + l] > lane[l] ? x[c + l] : lane[l];
+    }
+  }
+  for (std::int64_t l = 0; c < n; ++c, ++l) {
+    lane[l] = x[c] > lane[l] ? x[c] : lane[l];
+  }
+  float mx = lane[0];
+  for (std::int64_t l = 1; l < kMaxLanes; ++l) {
+    mx = lane[l] > mx ? lane[l] : mx;
+  }
+  return mx;
+}
+
 // One row, in place — shared by the softmax entry points so the causal
-// kernel can fuse masking without a nested parallel call.
+// and paged-attention kernels can fuse masking without a nested
+// parallel call.
 inline void SoftmaxRow(float* xr, std::int64_t cols) {
-  float mx = -std::numeric_limits<float>::infinity();
-  for (std::int64_t c = 0; c < cols; ++c) mx = std::max(mx, xr[c]);
+  const float mx = RowMax(xr, cols);
   // Exp pass, then a separate serial sum: the first vectorizes and the
   // second keeps a fixed summation order.
   for (std::int64_t c = 0; c < cols; ++c) xr[c] = Exp(xr[c] - mx);
@@ -875,6 +866,101 @@ void CausalMaskedSoftmax(float* scores, std::int64_t batch_heads,
               });
 }
 
+void PackKeyRow(const float* k, std::int64_t heads, std::int64_t hd,
+                float* dst) {
+  for (std::int64_t h = 0; h < heads; ++h) {
+    for (std::int64_t d = 0; d < hd; ++d) dst[d * heads + h] = k[h * hd + d];
+  }
+}
+
+void PagedCausalAttention(std::int64_t q_len, std::int64_t pos0,
+                          std::int64_t heads, std::int64_t hd, float scale,
+                          const float* q, std::int64_t ldq,
+                          const float* const* k_rows,
+                          const float* const* v_rows, float* ctx,
+                          std::int64_t ldc) {
+  // Score tiles: kKeyTile keys x kHeadLanes heads of independent chains.
+  constexpr std::int64_t kKeyTile = 8;
+  constexpr std::int64_t kHeadLanes = 8;
+  const std::int64_t width = heads * hd;
+  const std::int64_t k_len = pos0 + q_len;
+  ParallelFor(0, q_len, RowGrain(k_len * width), [&](std::int64_t t0,
+                                                      std::int64_t t1) {
+    alloc::ScratchArena& scratch = alloc::ThreadScratch();
+    alloc::ScratchGuard guard(scratch);
+    float* qs = scratch.AllocateT<float>(static_cast<std::size_t>(width));
+    float* att =
+        scratch.AllocateT<float>(static_cast<std::size_t>(heads * k_len));
+    float* cacc = scratch.AllocateT<float>(static_cast<std::size_t>(width));
+    for (std::int64_t t = t0; t < t1; ++t) {
+      const std::int64_t len = pos0 + t + 1;
+      // (alpha * a) operand of the score GEMM, dimension-major like K.
+      PackKeyRow(q + t * ldq, heads, hd, qs);
+      for (std::int64_t c = 0; c < width; ++c) qs[c] *= scale;
+      // Scores, att[h * k_len + j]: C starts at +0 (beta = 0) and takes
+      // one chain per kKc block of d. A key's heads are contiguous lanes.
+      for (std::int64_t j0 = 0; j0 < len; j0 += kKeyTile) {
+        const std::int64_t nj = std::min(kKeyTile, len - j0);
+        for (std::int64_t h0 = 0; h0 < heads; h0 += kHeadLanes) {
+          const std::int64_t nh = std::min(kHeadLanes, heads - h0);
+          float s[kKeyTile][kHeadLanes] = {};
+          for (std::int64_t d0 = 0; d0 < hd; d0 += kKc) {
+            const std::int64_t d1 = std::min(hd, d0 + kKc);
+            float acc[kKeyTile][kHeadLanes] = {};
+            for (std::int64_t d = d0; d < d1; ++d) {
+              const float* qd = qs + d * heads + h0;
+              for (std::int64_t jj = 0; jj < nj; ++jj) {
+                const float* kd = k_rows[j0 + jj] + d * heads + h0;
+                for (std::int64_t l = 0; l < nh; ++l) {
+                  acc[jj][l] = std::fma(qd[l], kd[l], acc[jj][l]);
+                }
+              }
+            }
+            for (std::int64_t jj = 0; jj < kKeyTile; ++jj) {
+              for (std::int64_t l = 0; l < kHeadLanes; ++l) {
+                s[jj][l] += acc[jj][l];
+              }
+            }
+          }
+          for (std::int64_t jj = 0; jj < nj; ++jj) {
+            for (std::int64_t l = 0; l < nh; ++l) {
+              att[(h0 + l) * k_len + j0 + jj] = s[jj][l];
+            }
+          }
+        }
+      }
+      // The full forward softmaxes over seq columns, the masked ones at
+      // -inf: they do not move the max, Exp maps them to exactly 0, and
+      // adding 0 leaves the positive sum unchanged.
+      for (std::int64_t h = 0; h < heads; ++h) SoftmaxRow(att + h * k_len, len);
+      // Context: each head's hd columns are the lanes, chained over keys
+      // in kKc blocks. The full forward's extra terms multiply +0
+      // probabilities by finite V entries, so they can at most flip the
+      // sign of a zero chain; C starts at +0, is never -0 after an add,
+      // and so sees neither that sign nor the +0 a fully masked block
+      // adds. Both are skipped.
+      float* out = ctx + t * ldc;
+      for (std::int64_t c = 0; c < width; ++c) out[c] = 0.0f;
+      for (std::int64_t j0 = 0; j0 < len; j0 += kKc) {
+        const std::int64_t j1 = std::min(len, j0 + kKc);
+        for (std::int64_t c = 0; c < width; ++c) cacc[c] = 0.0f;
+        for (std::int64_t j = j0; j < j1; ++j) {
+          const float* vr = v_rows[j];
+          for (std::int64_t h = 0; h < heads; ++h) {
+            const float p = att[h * k_len + j];
+            float* ch = cacc + h * hd;
+            const float* vh = vr + h * hd;
+            for (std::int64_t d = 0; d < hd; ++d) {
+              ch[d] = std::fma(p, vh[d], ch[d]);
+            }
+          }
+        }
+        for (std::int64_t c = 0; c < width; ++c) out[c] += cacc[c];
+      }
+    }
+  });
+}
+
 float CrossEntropyLoss(const float* logits, const std::int32_t* targets,
                        std::int64_t rows, std::int64_t vocab, float* dlogits) {
   const std::int64_t nchunks = (rows + kCeRowChunk - 1) / kCeRowChunk;
@@ -895,8 +981,7 @@ float CrossEntropyLoss(const float* logits, const std::int32_t* targets,
       const std::int64_t r1 = std::min(rows, (ch + 1) * kCeRowChunk);
       for (std::int64_t r = ch * kCeRowChunk; r < r1; ++r) {
         const float* lr = logits + r * vocab;
-        float mx = -std::numeric_limits<float>::infinity();
-        for (std::int64_t c = 0; c < vocab; ++c) mx = std::max(mx, lr[c]);
+        const float mx = RowMax(lr, vocab);
         for (std::int64_t c = 0; c < vocab; ++c) probs[c] = Exp(lr[c] - mx);
         double sum = 0.0;
         for (std::int64_t c = 0; c < vocab; ++c) sum += probs[c];

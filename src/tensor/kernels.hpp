@@ -28,6 +28,16 @@ namespace zero::tensor {
 // C[m,n] = alpha * op(A)[m,k] * op(B)[k,n] + beta * C[m,n].
 // op(X) = X or X^T according to the trans flags; dimensions m/n/k always
 // refer to the post-op shapes. Row-major storage.
+//
+// Accumulation contract, shared by every GEMM entry point below and by
+// PagedCausalAttention (DESIGN.md §9): after beta is applied, each C
+// element takes, for every kKc-long block of the k range in order, one
+// fresh explicit-fma chain acc = fma(alpha * op(A)[i,kk], op(B)[kk,j],
+// acc) over the block's kk in order, then C += acc. An element's bits
+// therefore depend only on its row of op(A), its column of op(B), alpha
+// and k: never on m, n, the small/blocked dispatch or the weight
+// layout. Any row subset of a GEMM is bitwise the same rows of the
+// full GEMM.
 void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const float* a, const float* b,
           float beta, float* c);
@@ -37,12 +47,10 @@ void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 // shape every projection in the model keeps), so
 //   C[m,n] = alpha * A[m,k] * W[n,k]^T + beta * C[m,n]
 // with A fp32 activations. No persistent fp32 copy of W exists: the
-// blocked path decodes each weight row's k-slice in bulk (the AVX-512
-// LUT decoder) inside the B pack step, and the small path bulk-decodes
-// the (bounded) weight tile into thread scratch. Both paths produce
+// blocked driver decodes each weight row's k-slice in bulk inside its B
+// pack step, at every shape. Under the accumulation contract that is
 // bitwise the result of decoding W to fp32 and calling
-// Gemm(false, true, ...) — same dispatch threshold, same kernels, same
-// summation order.
+// Gemm(false, true, ...).
 void GemmHalfWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
                      float alpha, const float* a, const Half* w, float beta,
                      float* c);
@@ -54,28 +62,56 @@ void GemmQuantWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
                       const float* scales, std::int64_t qblock, float beta,
                       float* c);
 
-// Pre-packed fp16 weight panels. Weights are static across a serving
-// run, so re-packing the B operand on every GEMM call is pure waste:
-// these entry points encode a [n, k] weight matrix ONCE into the exact
-// micro-panel layout the packed GEMM's B-pack produces (kNr-column
-// panels per (column-block, k-block) tile, zero-padded past n), stored
-// as fp16. The per-call GEMM then replaces the strided pack walk with
-// one contiguous bulk AVX-512 decode of the current tile straight into
-// the panel buffer — identical fp32 panel contents through the
-// identical micro-kernel (and the identical small-GEMM dispatch), so
-// results stay bitwise equal to GemmHalfWeightT on the row-major
-// encoding while the per-step weight traffic halves and the pack
-// becomes a linear fp16 stream.
-[[nodiscard]] std::int64_t HalfPanelElems(std::int64_t n, std::int64_t k);
+// Pre-packed weight panels. Serving weights are static, so re-packing
+// the B operand on every GEMM call is pure waste: these entry points
+// store a [n, k] weight matrix ONCE in the micro-panel layout the
+// blocked GEMM's B pack produces (kNr-column panels per (column-block,
+// k-block) tile, zero-padded past n). fp32 panels feed the micro-kernel
+// in place; fp16 panels are bulk-decoded one tile at a time. Both run
+// the blocked driver at every shape, so results are bitwise
+// Gemm(false, true, ...) on the row-major floats (the fp16 decode of
+// them, for fp16).
+[[nodiscard]] std::int64_t PanelElems(std::int64_t n, std::int64_t k);
+void PackPanelsT(const float* w, std::int64_t n, std::int64_t k,
+                 float* dst);
 void PackHalfPanelsT(const float* w, std::int64_t n, std::int64_t k,
                      Half* dst);
-// Decodes row `row` of the panel-packed [n, k] matrix to fp32 —
-// embedding gathers and the small-GEMM tile materialization.
+// Row `row` of the panel-packed [n, k] matrix as fp32 (embedding
+// gathers).
+void DecodePanelRow(const float* panels, std::int64_t n, std::int64_t k,
+                    std::int64_t row, float* dst);
 void DecodeHalfPanelRow(const Half* panels, std::int64_t n, std::int64_t k,
                         std::int64_t row, float* dst);
+void GemmPanelsT(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+                 const float* a, const float* panels, float beta, float* c);
 void GemmHalfPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,
                      float alpha, const float* a, const Half* panels,
                      float beta, float* c);
+
+// Writes a head-major K row (head h at columns [h*hd, (h+1)*hd)) in the
+// dimension-major order PagedCausalAttention reads, dst[d * heads + h],
+// so one key's heads are contiguous SIMD lanes.
+void PackKeyRow(const float* k, std::int64_t heads, std::int64_t hd,
+                float* dst);
+
+// Causal attention of one sequence's new tokens against its paged K/V
+// rows, read in place (serving decode). Token t of the q_len new tokens
+// sits at position pos0 + t and attends keys 0..pos0+t. Row t of q
+// (q + t * ldq) holds the heads' queries head-major, hd floats each;
+// k_rows[j] points at key j's cached K row as PackKeyRow writes it, and
+// v_rows[j] at its V row, head-major. Row t of ctx (ctx + t * ldc)
+// receives the context vectors, head-major. Scores are computed as
+// Gemm(false, true, ..., alpha = scale) computes them, softmaxed as
+// CausalMaskedSoftmax does, and the context as Gemm(false, false, ...,
+// alpha = 1) over the probabilities, so every output is bitwise the
+// full-sequence forward's. Keys past a query's position contribute +0
+// terms there, which leave its sums unchanged.
+void PagedCausalAttention(std::int64_t q_len, std::int64_t pos0,
+                          std::int64_t heads, std::int64_t hd, float scale,
+                          const float* q, std::int64_t ldq,
+                          const float* const* k_rows,
+                          const float* const* v_rows, float* ctx,
+                          std::int64_t ldc);
 
 // x[rows, cols] += bias[cols] broadcast over rows.
 void AddBiasRows(float* x, const float* bias, std::int64_t rows,

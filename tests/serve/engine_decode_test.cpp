@@ -3,16 +3,18 @@
 // logits bit-exact with the trainer's eval forward on the same weights —
 // at mp=1 and MP-sharded mp=2 (each degree against its own eval forward;
 // different degrees split reductions differently and are not comparable
-// bitwise). The config keeps every GEMM inside the small-kernel regime
-// for both the [bs,*] eval shapes and the [n_tokens,*] decode shapes
-// (see DESIGN.md §16), so "bit-exact" here is memcmp, not a tolerance.
+// bitwise). "Bit-exact" here is memcmp, not a tolerance, at every model
+// shape: the GEMM accumulation contract makes each logit independent of
+// how many rows a step carries and of the GEMM path (DESIGN.md §16).
 #include "serve/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -285,6 +287,52 @@ TEST(EngineDecode, ContinuousBatchingMatchesIsolatedDecode) {
     }
   }
 }
+
+// Shapes where the eval forward's projections, attention and logits
+// GEMMs run on the blocked path while most decode steps stay on the
+// small one. The prompt (one prefill chunk) runs past the middle of the
+// sequence, so for seq 256 the attention context spans two kKc (128)
+// blocks of keys.
+struct DecodeShape {
+  std::int64_t seq, hidden, heads;
+};
+
+class EngineDecodeShapes : public ::testing::TestWithParam<DecodeShape> {};
+
+TEST_P(EngineDecodeShapes, GreedyDecodeBitExactVsEvalForward) {
+  const DecodeShape& shape = GetParam();
+  model::GptConfig cfg = TestConfig();
+  cfg.seq = shape.seq;
+  cfg.hidden = shape.hidden;
+  cfg.heads = shape.heads;
+  const std::vector<float> full = FullWeights(cfg, 0x5EED + shape.seq);
+
+  const int steps = 4;
+  std::vector<std::int32_t> prompt(static_cast<std::size_t>(
+      std::min(shape.seq / 2 + 6, shape.seq - steps)));
+  for (std::size_t i = 0; i < prompt.size(); ++i) {
+    prompt[i] = static_cast<std::int32_t>((i * 37 + 11) % cfg.vocab);
+  }
+  InferenceOptions opts = TestOptions();
+  opts.model = cfg;
+  opts.kv_max_blocks = shape.seq / opts.kv_block_tokens + 1;
+  InferenceEngine eng(opts, {});
+  eng.LoadFullWeights(full);
+  ExpectBitExact(DecodeLogits(eng, prompt, steps),
+                 EvalLogits(cfg, full, prompt, steps));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AcrossShapes, EngineDecodeShapes,
+    ::testing::Values(DecodeShape{128, 128, 8},  // the serving benchmark's
+                      DecodeShape{64, 128, 4},   // scale 1/sqrt(32)
+                      DecodeShape{256, 64, 4},   // context k > kKc
+                      DecodeShape{16, 64, 2}),
+    [](const ::testing::TestParamInfo<DecodeShape>& info) {
+      return "Seq" + std::to_string(info.param.seq) + "Hidden" +
+             std::to_string(info.param.hidden) + "Heads" +
+             std::to_string(info.param.heads);
+    });
 
 }  // namespace
 }  // namespace zero::serve

@@ -2,9 +2,8 @@
 //
 // The contract under test (kernels.hpp): GemmHalfWeightT /
 // GemmQuantWeightT produce bitwise the result of decoding W to fp32 and
-// calling Gemm(false, true, ...) — same dispatch threshold, same
-// kernels, same summation order — on both sides of the small-GEMM /
-// packed-GEMM split. The registry is the Dali-style name dispatch the
+// calling Gemm(false, true, ...) — one accumulation order — on both
+// sides of Gemm's small-GEMM / packed-GEMM split. The registry is the Dali-style name dispatch the
 // serving engine selects a precision through.
 #include "tensor/gemm_backend.hpp"
 

@@ -4,6 +4,7 @@
 // loss scaler detects overflow by seeing the NaNs come out).
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -133,6 +134,67 @@ TEST(GemmPropertyTest, SingleInfPoisonsOnlyItsColumn) {
         EXPECT_FALSE(std::isfinite(v)) << "row " << i;
       } else {
         EXPECT_TRUE(std::isfinite(v)) << "row " << i << " col " << j;
+      }
+    }
+  }
+}
+
+// The accumulation contract (kernels.hpp): row i of C depends only on
+// row i of op(A), op(B), alpha and k — not on m, and so not on which
+// side of the small/blocked dispatch a call lands. A GEMM over any row
+// subset of op(A) must therefore reproduce those rows of the full GEMM
+// bitwise; serving decode relies on it (a few rows per step against the
+// eval forward's whole sequence). k runs past 3 * kKc (kKc = 128), and
+// 0.3535534 = 1/sqrt(8) is an attention scale that is not a power of two.
+TEST(GemmPropertyTest, RowSubsetsBitwiseEqualFullGemm) {
+  struct Nk {
+    std::int64_t n, k;
+  };
+  // With m = 70: (8, 16) keeps every call small; (96, 129) and (40, 400)
+  // put the full GEMM on the blocked path and 1-row subsets on the small
+  // one; (96, 129) with 37 rows is blocked on both sides.
+  const Nk nks[] = {{8, 16}, {96, 129}, {40, 400}, {33, 256}};
+  struct Rows {
+    std::int64_t begin, count;
+  };
+  const std::int64_t m = 70;
+  const Rows subsets[] = {{0, 1}, {69, 1}, {5, 3}, {33, 37}, {1, 64}};
+  Rng rng(77);
+  for (const Nk& s : nks) {
+    for (bool ta : {false, true}) {
+      for (bool tb : {false, true}) {
+        for (float alpha : {1.0f, 0.3535534f}) {
+          const auto a = RandomVec(static_cast<std::size_t>(m * s.k), rng);
+          const auto b = RandomVec(static_cast<std::size_t>(s.k * s.n), rng);
+          std::vector<float> full(static_cast<std::size_t>(m * s.n));
+          Gemm(ta, tb, m, s.n, s.k, alpha, a.data(), b.data(), 0.0f,
+               full.data());
+          for (const Rows& r : subsets) {
+            // op(A) rows [begin, begin + count) in the same storage
+            // order: row-major [count, k], or [k, count] when ta.
+            std::vector<float> sub(static_cast<std::size_t>(r.count * s.k));
+            for (std::int64_t i = 0; i < r.count; ++i) {
+              for (std::int64_t kk = 0; kk < s.k; ++kk) {
+                const std::size_t dst =
+                    static_cast<std::size_t>(ta ? kk * r.count + i
+                                                : i * s.k + kk);
+                const std::size_t src = static_cast<std::size_t>(
+                    ta ? kk * m + r.begin + i : (r.begin + i) * s.k + kk);
+                sub[dst] = a[src];
+              }
+            }
+            std::vector<float> got(static_cast<std::size_t>(r.count * s.n));
+            Gemm(ta, tb, r.count, s.n, s.k, alpha, sub.data(), b.data(),
+                 0.0f, got.data());
+            EXPECT_EQ(std::memcmp(got.data(),
+                                  full.data() + r.begin * s.n,
+                                  got.size() * sizeof(float)),
+                      0)
+                << "n=" << s.n << " k=" << s.k << " ta=" << ta
+                << " tb=" << tb << " alpha=" << alpha << " rows "
+                << r.begin << "+" << r.count;
+          }
+        }
       }
     }
   }
