@@ -5,9 +5,10 @@
 //   weight precision — the same full weights packed as fp32 / fp16 /
 //     blockwise-int8 behind the dispatched GEMM backend, measured as
 //     wall-clock decode throughput on a model whose weights far exceed
-//     L2 (hidden 512, 4 layers). Informational: fp32 and fp16 share one
-//     micro-panel layout, so the ratio measures precision alone (fp16
-//     decodes each tile per call, fp32 reads it in place);
+//     L2 (hidden 512, 4 layers). Informational: all three precisions
+//     share one micro-panel layout, so the ratios measure precision
+//     alone (fp16 and int8 decode each tile per call, fp32 reads it in
+//     place);
 //   prefix sharing — identical shared-prefix traffic served cold vs
 //     with the copy-on-write prefix cache on; adopted KV positions are
 //     prefill work that never runs, and the counts are deterministic.

@@ -35,8 +35,8 @@ struct ParamEntry {
   int unit = 0;
   // Matrix shape ([rows, cols] row-major, rows * cols == numel) for
   // parameters consumed as GEMM operands; 0/0 for everything else.
-  // Serving uses this to re-encode weight matrices into layouts that
-  // need the shape at pack time (pre-packed fp16 GEMM panels).
+  // Serving packs every matrix into GEMM micro-panels, which need the
+  // shape at pack time.
   std::int64_t rows = 0;
   std::int64_t cols = 0;
 };

@@ -41,17 +41,17 @@ ServingWeights::ServingWeights(const ParamLayout& layout,
     const auto [ubegin, uend] = layout.UnitRange(e.unit);
     (void)uend;
     Entry ent;
-    ent.numel = e.numel;
     ent.matrix = IsMatrixEntry(e.name);
     if (ent.matrix) {
+      ZERO_CHECK(e.rows > 0 && e.rows * e.cols == e.numel,
+                 "serving matrix entry " + e.name +
+                     " has no [rows, cols] shape in the layout");
       ent.rows = e.rows;
       ent.cols = e.cols;
       packed_bytes = (packed_bytes + kEntryAlign - 1) / kEntryAlign *
                      kEntryAlign;
       ent.pos = packed_bytes;
-      packed_bytes += ent.rows > 0
-                          ? backend.PackedMatrixBytes(ent.rows, ent.cols)
-                          : backend.PackedBytes(e.numel);
+      packed_bytes += backend.PackedBytes(ent.rows, ent.cols);
     } else {
       ent.pos = f32_floats;
       f32_floats += static_cast<std::size_t>(e.numel);
@@ -68,11 +68,7 @@ ServingWeights::ServingWeights(const ParamLayout& layout,
     const Entry& ent = entries_.at(Key(e.unit, e.offset - ubegin));
     const float* src = local.data() + e.offset;
     if (ent.matrix) {
-      if (ent.rows > 0) {
-        backend.PackMatrix(src, ent.rows, ent.cols, packed_.data() + ent.pos);
-      } else {
-        backend.Pack(src, e.numel, packed_.data() + ent.pos);
-      }
+      backend.Pack(src, ent.rows, ent.cols, packed_.data() + ent.pos);
     } else {
       std::copy(src, src + e.numel, f32_.data() + ent.pos);
     }
@@ -105,31 +101,17 @@ void ServingWeights::GemmWeightT(int unit, std::int64_t off, std::int64_t m,
                                  std::int64_t n, std::int64_t k, float alpha,
                                  const float* a, float beta, float* c) const {
   const Entry& ent = Lookup(unit, off, /*want_matrix=*/true);
-  ZERO_CHECK(n * k == ent.numel, "serving weight GEMM shape mismatch");
-  if (ent.rows > 0) {
-    ZERO_CHECK(n == ent.rows && k == ent.cols,
-               "serving weight GEMM shape disagrees with the layout");
-    backend_->MatrixGemmWeightT(m, n, k, alpha, a, packed_.data() + ent.pos,
-                                beta, c);
-  } else {
-    backend_->GemmWeightT(m, n, k, alpha, a, packed_.data() + ent.pos,
-                          /*off=*/0, beta, c);
-  }
+  ZERO_CHECK(n == ent.rows && k == ent.cols,
+             "serving weight GEMM shape disagrees with the layout");
+  backend_->GemmWeightT(m, n, k, alpha, a, packed_.data() + ent.pos, beta, c);
 }
 
 void ServingWeights::DecodeRow(int unit, std::int64_t off, std::int64_t row,
                                std::int64_t cols, float* dst) const {
   const Entry& ent = Lookup(unit, off, /*want_matrix=*/true);
-  ZERO_CHECK(row >= 0 && (row + 1) * cols <= ent.numel,
-             "serving weight row decode out of range");
-  if (ent.rows > 0) {
-    ZERO_CHECK(cols == ent.cols,
-               "serving weight row decode disagrees with the layout");
-    backend_->DecodeMatrixRow(packed_.data() + ent.pos, ent.rows, ent.cols,
-                              row, dst);
-  } else {
-    backend_->Decode(packed_.data() + ent.pos, row * cols, cols, dst);
-  }
+  ZERO_CHECK(cols == ent.cols,
+             "serving weight row decode disagrees with the layout");
+  backend_->DecodeRow(packed_.data() + ent.pos, ent.rows, ent.cols, row, dst);
 }
 
 }  // namespace zero::model

@@ -3,17 +3,17 @@
 //
 // The trainer keeps everything fp32; the serving path re-encodes the
 // local shard once at engine-load time. Matrix entries (the token
-// embedding and every projection weight) are stored backend-native and
-// consumed through the backend's fused GemmWeightT — no fp32 copy of a
-// weight matrix is ever materialized after packing. Entries whose
-// layout registered a [rows, cols] shape use the backend's shape-aware
-// Matrix* encoding, which lets fp32 and fp16 pre-pack weights into the
-// GEMM's micro-panel layout once at load (bitwise-equal results, no
-// per-call strided pack). Vector-class entries (biases, layer-norm
-// gains, the positional table) stay fp32 in a sidecar: they are
-// O(hidden) each, consumed by elementwise kernels, and keeping them
-// exact means the "fp32" backend makes the whole serving forward
-// memcmp-bit-exact with the trainer's eval forward.
+// embedding and every projection weight) are packed with their
+// [rows, cols] layout shape into the backend's load-time GEMM
+// micro-panels, one layout for every precision, and consumed through
+// the backend's GemmWeightT — no fp32 copy of a weight matrix is ever
+// materialized after packing, and no GEMM packs its weight operand per
+// call. A matrix entry without a layout shape is a load-time
+// ZERO_CHECK failure. Vector-class entries (biases, layer-norm gains,
+// the positional table) stay fp32 in a sidecar: they are O(hidden)
+// each, consumed by elementwise kernels, and keeping them exact means
+// the "fp32" backend makes the whole serving forward memcmp-bit-exact
+// with the trainer's eval forward.
 //
 // Lookups are keyed by (unit, unit-relative offset) — the coordinates
 // GptModel::DecodeForward uses for every parameter access.
@@ -70,12 +70,8 @@ class ServingWeights {
 
  private:
   struct Entry {
-    std::int64_t numel = 0;
     bool matrix = false;
-    // Matrix shape from the layout ([rows, cols], rows * cols == numel);
-    // 0/0 when the layout registered no shape. Shaped entries go through
-    // the backend's shape-aware Matrix* encoding (fp16 pre-packs GEMM
-    // micro-panels at load), unshaped ones through the flat encoding.
+    // Matrix shape from the layout ([rows, cols]); 0/0 for vectors.
     std::int64_t rows = 0;
     std::int64_t cols = 0;
     std::size_t pos = 0;  // byte offset in packed_ / float offset in f32_

@@ -79,7 +79,7 @@ void Histogram::Reset() {
 
 // std::map keeps snapshot key order deterministic; unique_ptr values are
 // never erased, so handles returned to instrument sites stay valid for
-// the life of the process.
+// the life of the registry (the process, for Metrics()).
 struct MetricsRegistry::Impl {
   mutable std::mutex mutex;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
@@ -92,11 +92,9 @@ struct MetricsRegistry::Impl {
   }
 };
 
-MetricsRegistry::Impl& MetricsRegistry::impl() const {
-  std::lock_guard<std::mutex> lock(impl_mutex_);
-  if (impl_ == nullptr) impl_ = new Impl();  // leaked: handles never die
-  return *impl_;
-}
+MetricsRegistry::MetricsRegistry() : impl_(std::make_unique<Impl>()) {}
+
+MetricsRegistry::~MetricsRegistry() = default;
 
 Counter& MetricsRegistry::counter(std::string_view name) {
   Impl& im = impl();

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -95,10 +96,13 @@ class MetricsRegistry {
  public:
   // Constructible so tests and tools can hold private registries; the
   // runtime's instrument sites all aggregate into Metrics().
-  MetricsRegistry() = default;
+  MetricsRegistry();
+  ~MetricsRegistry();
+  MetricsRegistry(const MetricsRegistry&) = delete;
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   // Fetches (creating on first use) the named metric. A name is bound to
-  // one metric kind for the life of the process; asking for the same
+  // one metric kind for the life of the registry; asking for the same
   // name as a different kind is a ZERO_CHECK failure.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
@@ -123,9 +127,8 @@ class MetricsRegistry {
 
  private:
   struct Impl;
-  [[nodiscard]] Impl& impl() const;
-  mutable Impl* impl_ = nullptr;
-  mutable std::mutex impl_mutex_;
+  [[nodiscard]] Impl& impl() const { return *impl_; }
+  const std::unique_ptr<Impl> impl_;
 };
 
 // The process-wide registry.

@@ -11,6 +11,7 @@
 #include "alloc/scratch.hpp"
 #include "common/error.hpp"
 #include "tensor/parallel_for.hpp"
+#include "tensor/quantize.hpp"
 
 namespace zero::tensor {
 
@@ -292,34 +293,6 @@ struct StridedB {
   }
 };
 
-// A transposed reduced-precision weight through a reader (below): panel
-// column j is weight row jc + j, whose k-range [pc, pc+kc) is contiguous
-// in W, so it is decoded in one bulk call and scattered into the
-// kNr-interleaved panel.
-template <class Reader>
-struct ReaderB {
-  const Reader& w;
-  std::int64_t k;
-  const float* Tile(std::int64_t jc, std::int64_t nc, std::int64_t pc,
-                    std::int64_t kc, std::int64_t, float* buf) const {
-    float tmp[kKc];
-    const std::int64_t panels = (nc + kNr - 1) / kNr;
-    for (std::int64_t p = 0; p < panels; ++p) {
-      float* dp = buf + p * kc * kNr;
-      const std::int64_t cbase = jc + p * kNr;
-      const std::int64_t cvalid = std::min<std::int64_t>(kNr, jc + nc - cbase);
-      for (std::int64_t j = 0; j < cvalid; ++j) {
-        w.Decode((cbase + j) * k + pc, kc, tmp);
-        for (std::int64_t kk = 0; kk < kc; ++kk) dp[kk * kNr + j] = tmp[kk];
-      }
-      for (std::int64_t j = cvalid; j < kNr; ++j) {
-        for (std::int64_t kk = 0; kk < kc; ++kk) dp[kk * kNr + j] = 0.0f;
-      }
-    }
-    return buf;
-  }
-};
-
 // Pre-packed fp16 panels: one contiguous bulk decode per tile.
 struct HalfPanelB {
   const Half* panels;
@@ -341,48 +314,68 @@ struct PanelB {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Mixed-precision weight readers: Decode() maps a contiguous run of the
-// [n, k] weight matrix (one weight row's k-slice) to fp32 in bulk.
-struct HalfWeightReader {
-  const Half* w;
-  void Decode(std::int64_t idx, std::int64_t len, float* dst) const {
-    HalfToFloat(w + idx, dst, static_cast<std::size_t>(len));
-  }
-};
+// int8 panels. A kNr-column panel over kc k-steps stores its fp32
+// scales [ceil(kc / kPanelQuantBlock)][kNr], then its int8 codes
+// [kc][kNr]. Quant blocks tile every k-block exactly, so a tile holds
+// whole blocks of the weight rows' own quantization, and one column
+// spans k codes plus ceil(k / kPanelQuantBlock) scales over all tiles.
+static_assert(kKc % kPanelQuantBlock == 0,
+              "an int8 quant block must not straddle a k-block");
 
-struct QuantWeightReader {
-  const std::int8_t* codes;
-  const float* scales;
-  std::int64_t qblock;
-  void Decode(std::int64_t idx, std::int64_t len, float* dst) const {
-    // Split the run at quant-block boundaries so the inner loop is a
-    // contiguous int8->fp32 convert against one broadcast scale — the
-    // form the compiler vectorizes — instead of a per-element division
-    // for the scale index.
-    std::int64_t i = idx;
-    std::int64_t o = 0;
-    while (o < len) {
-      const float s = scales[i / qblock];
-      const std::int64_t run = std::min(len - o, qblock - i % qblock);
-      const std::int8_t* cp = codes + i;
-      float* dp = dst + o;
-      for (std::int64_t j = 0; j < run; ++j) {
-        dp[j] = static_cast<float>(cp[j]) * s;
+// Bytes one panel column spends on scales, and in all, over kc k-steps;
+// a panel's codes start kNr * QuantScaleBytes(kc) bytes in.
+std::int64_t QuantScaleBytes(std::int64_t kc) {
+  return QuantBlocks(kc, kPanelQuantBlock) *
+         static_cast<std::int64_t>(sizeof(float));
+}
+std::int64_t QuantColumnBytes(std::int64_t kc) {
+  return kc + QuantScaleBytes(kc);
+}
+
+// Byte offset of tile (jc, pc) in the int8 panel stream of a [n, k]
+// matrix: every earlier column block spans all of k, and every earlier
+// k-block of this column block is a full kKc.
+std::int64_t QuantTileOffset(std::int64_t k, std::int64_t jc,
+                             std::int64_t nc, std::int64_t pc) {
+  const std::int64_t panels = (nc + kNr - 1) / kNr;
+  return jc * QuantColumnBytes(k) + panels * kNr * QuantColumnBytes(pc);
+}
+
+// Pre-packed int8 panels: one tile decoded per call, code * scale.
+struct QuantPanelB {
+  const std::byte* panels;
+  std::int64_t k;
+  const float* Tile(std::int64_t jc, std::int64_t nc, std::int64_t pc,
+                    std::int64_t kc, std::int64_t, float* buf) const {
+    const std::int64_t jr_panels = (nc + kNr - 1) / kNr;
+    const std::byte* src = panels + QuantTileOffset(k, jc, nc, pc);
+    for (std::int64_t p = 0; p < jr_panels; ++p) {
+      const auto* scales = reinterpret_cast<const float*>(src);
+      const auto* codes =
+          reinterpret_cast<const std::int8_t*>(src + kNr * QuantScaleBytes(kc));
+      float* dp = buf + p * kc * kNr;
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        const float* s = scales + kk / kPanelQuantBlock * kNr;
+        const std::int8_t* cr = codes + kk * kNr;
+        float* dr = dp + kk * kNr;
+        for (std::int64_t j = 0; j < kNr; ++j) {
+          dr[j] = static_cast<float>(cr[j]) * s[j];
+        }
       }
-      i += run;
-      o += run;
+      src += kNr * QuantColumnBytes(kc);
     }
+    return buf;
   }
 };
 
-template <class Reader>
-void GemmWeightTImpl(std::int64_t m, std::int64_t n, std::int64_t k,
-                     float alpha, const float* a, const Reader& w, float beta,
-                     float* c) {
+// beta, then the blocked driver over pre-packed panels from `src`.
+template <class BSource>
+void GemmPanelSource(std::int64_t m, std::int64_t n, std::int64_t k,
+                     float alpha, const float* a, const BSource& src,
+                     float beta, float* c) {
   ApplyBeta(beta, c, m * n);
   if (m <= 0 || n <= 0 || k <= 0) return;
-  BlockedGemm(false, m, n, k, alpha, a, ReaderB<Reader>{w, k}, c);
+  BlockedGemm(false, m, n, k, alpha, a, src, c);
 }
 
 // Scatters a row-major [n, k] matrix into panel order, `zero` in the
@@ -413,6 +406,7 @@ void PackPanels(const T* rows, std::int64_t n, std::int64_t k, T zero,
 template <class T, class Cvt>
 void PanelRow(const T* panels, std::int64_t n, std::int64_t k,
               std::int64_t row, float* dst, Cvt cvt) {
+  ZERO_CHECK(row >= 0 && row < n, "panel row decode out of range");
   ForEachPanelTile(n, k, [&](std::int64_t jc, std::int64_t nc,
                              std::int64_t pc, std::int64_t kc,
                              std::int64_t base) {
@@ -437,24 +431,14 @@ void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
   }
 }
 
-void GemmHalfWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
-                     float alpha, const float* a, const Half* w, float beta,
-                     float* c) {
-  GemmWeightTImpl(m, n, k, alpha, a, HalfWeightReader{w}, beta, c);
-}
-
-void GemmQuantWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
-                      float alpha, const float* a, const std::int8_t* codes,
-                      const float* scales, std::int64_t qblock, float beta,
-                      float* c) {
-  GemmWeightTImpl(m, n, k, alpha, a, QuantWeightReader{codes, scales, qblock},
-                  beta, c);
-}
-
 std::int64_t PanelElems(std::int64_t n, std::int64_t k) {
   return ForEachPanelTile(n, k,
                           [](std::int64_t, std::int64_t, std::int64_t,
                              std::int64_t, std::int64_t) {});
+}
+
+std::int64_t QuantPanelBytes(std::int64_t n, std::int64_t k) {
+  return (n + kNr - 1) / kNr * kNr * QuantColumnBytes(k);
 }
 
 void PackPanelsT(const float* w, std::int64_t n, std::int64_t k,
@@ -464,11 +448,55 @@ void PackPanelsT(const float* w, std::int64_t n, std::int64_t k,
 
 void PackHalfPanelsT(const float* w, std::int64_t n, std::int64_t k,
                      Half* dst) {
-  // Encode with the same bulk round-to-nearest-even converter the flat
-  // fp16 encoding uses, then scatter — load-time only.
+  // Encode with the bulk round-to-nearest-even converter, then scatter —
+  // load-time only.
   std::vector<Half> rows(static_cast<std::size_t>(n * k));
   FloatToHalf(w, rows.data(), rows.size());
   PackPanels(rows.data(), n, k, Half::FromBits(0), dst);
+}
+
+void PackQuantPanelsT(const float* w, std::int64_t n, std::int64_t k,
+                      std::byte* dst) {
+  // Quantize each row on the wire, split it into row-major int8 codes
+  // and fp32-decoded scales, then scatter both — load-time only.
+  const std::int64_t blocks = QuantBlocks(k, kPanelQuantBlock);
+  std::vector<std::byte> wire(QuantWireBytes(k, kPanelQuantBlock));
+  std::vector<float> scales(static_cast<std::size_t>(n * blocks));
+  std::vector<std::int8_t> codes(static_cast<std::size_t>(n * k));
+  for (std::int64_t r = 0; r < n; ++r) {
+    QuantizeF32(w + r * k, k, kPanelQuantBlock, wire.data());
+    HalfToFloat(reinterpret_cast<const Half*>(wire.data()),
+                scales.data() + r * blocks, static_cast<std::size_t>(blocks));
+    std::memcpy(codes.data() + r * k, wire.data() + 2 * blocks,
+                static_cast<std::size_t>(k));
+  }
+  ForEachPanelTile(n, k, [&](std::int64_t jc, std::int64_t nc,
+                             std::int64_t pc, std::int64_t kc,
+                             std::int64_t) {
+    const std::int64_t panels = (nc + kNr - 1) / kNr;
+    const std::int64_t tile_blocks = QuantBlocks(kc, kPanelQuantBlock);
+    std::byte* dp = dst + QuantTileOffset(k, jc, nc, pc);
+    for (std::int64_t p = 0; p < panels; ++p) {
+      auto* ps = reinterpret_cast<float*>(dp);
+      auto* pcodes =
+          reinterpret_cast<std::int8_t*>(dp + kNr * QuantScaleBytes(kc));
+      const std::int64_t cbase = jc + p * kNr;
+      const std::int64_t cvalid = std::min<std::int64_t>(kNr, jc + nc - cbase);
+      for (std::int64_t j = 0; j < kNr; ++j) {
+        const std::int64_t row = cbase + j;
+        for (std::int64_t b = 0; b < tile_blocks; ++b) {
+          ps[b * kNr + j] =
+              j < cvalid
+                  ? scales[row * blocks + pc / kPanelQuantBlock + b]
+                  : 0.0f;
+        }
+        for (std::int64_t kk = 0; kk < kc; ++kk) {
+          pcodes[kk * kNr + j] = j < cvalid ? codes[row * k + pc + kk] : 0;
+        }
+      }
+      dp += kNr * QuantColumnBytes(kc);
+    }
+  });
 }
 
 void DecodePanelRow(const float* panels, std::int64_t n, std::int64_t k,
@@ -482,19 +510,42 @@ void DecodeHalfPanelRow(const Half* panels, std::int64_t n, std::int64_t k,
   PanelRow(panels, n, k, row, dst, [lut](Half x) { return lut[x.bits()]; });
 }
 
+void DecodeQuantPanelRow(const std::byte* panels, std::int64_t n,
+                         std::int64_t k, std::int64_t row, float* dst) {
+  ZERO_CHECK(row >= 0 && row < n, "panel row decode out of range");
+  ForEachPanelTile(n, k, [&](std::int64_t jc, std::int64_t nc,
+                             std::int64_t pc, std::int64_t kc,
+                             std::int64_t) {
+    if (row < jc || row >= jc + nc) return;
+    const std::int64_t j = row - jc;
+    const std::byte* panel = panels + QuantTileOffset(k, jc, nc, pc) +
+                             j / kNr * kNr * QuantColumnBytes(kc);
+    const auto* scales = reinterpret_cast<const float*>(panel) + j % kNr;
+    const auto* codes = reinterpret_cast<const std::int8_t*>(
+                            panel + kNr * QuantScaleBytes(kc)) +
+                        j % kNr;
+    for (std::int64_t kk = 0; kk < kc; ++kk) {
+      dst[pc + kk] = static_cast<float>(codes[kk * kNr]) *
+                     scales[kk / kPanelQuantBlock * kNr];
+    }
+  });
+}
+
 void GemmPanelsT(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                  const float* a, const float* panels, float beta, float* c) {
-  ApplyBeta(beta, c, m * n);
-  if (m <= 0 || n <= 0 || k <= 0) return;
-  BlockedGemm(false, m, n, k, alpha, a, PanelB{panels}, c);
+  GemmPanelSource(m, n, k, alpha, a, PanelB{panels}, beta, c);
 }
 
 void GemmHalfPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,
                      float alpha, const float* a, const Half* panels,
                      float beta, float* c) {
-  ApplyBeta(beta, c, m * n);
-  if (m <= 0 || n <= 0 || k <= 0) return;
-  BlockedGemm(false, m, n, k, alpha, a, HalfPanelB{panels}, c);
+  GemmPanelSource(m, n, k, alpha, a, HalfPanelB{panels}, beta, c);
+}
+
+void GemmQuantPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,
+                      float alpha, const float* a, const std::byte* panels,
+                      float beta, float* c) {
+  GemmPanelSource(m, n, k, alpha, a, QuantPanelB{panels, k}, beta, c);
 }
 
 void AddBiasRows(float* x, const float* bias, std::int64_t rows,

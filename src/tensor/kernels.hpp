@@ -19,6 +19,7 @@
 // the loss scaler depends on seeing it).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/half.hpp"
@@ -42,51 +43,49 @@ void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const float* a, const float* b,
           float beta, float* c);
 
-// Mixed-precision GEMMs for reduced-precision serving weights. The
-// weight operand W is stored [n, k] row-major and used transposed (the
-// shape every projection in the model keeps), so
-//   C[m,n] = alpha * A[m,k] * W[n,k]^T + beta * C[m,n]
-// with A fp32 activations. No persistent fp32 copy of W exists: the
-// blocked driver decodes each weight row's k-slice in bulk inside its B
-// pack step, at every shape. Under the accumulation contract that is
-// bitwise the result of decoding W to fp32 and calling
-// Gemm(false, true, ...).
-void GemmHalfWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
-                     float alpha, const float* a, const Half* w, float beta,
-                     float* c);
-// Blockwise-int8 weight operand: element i of W decodes to
-// codes[i] * scales[i / qblock] (scales pre-decoded to fp32, matching
-// tensor/quantize's dequantization bitwise).
-void GemmQuantWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
-                      float alpha, const float* a, const std::int8_t* codes,
-                      const float* scales, std::int64_t qblock, float beta,
-                      float* c);
-
 // Pre-packed weight panels. Serving weights are static, so re-packing
 // the B operand on every GEMM call is pure waste: these entry points
-// store a [n, k] weight matrix ONCE in the micro-panel layout the
-// blocked GEMM's B pack produces (kNr-column panels per (column-block,
-// k-block) tile, zero-padded past n). fp32 panels feed the micro-kernel
-// in place; fp16 panels are bulk-decoded one tile at a time. Both run
-// the blocked driver at every shape, so results are bitwise
-// Gemm(false, true, ...) on the row-major floats (the fp16 decode of
-// them, for fp16).
+// store a [n, k] weight matrix W (used transposed, as every projection
+// in the model is:  C[m,n] = alpha * A[m,k] * W[n,k]^T + beta * C[m,n])
+// ONCE in the micro-panel layout the blocked GEMM's B pack produces:
+// kNr-column panels per (column-block, k-block) tile, zero-padded past
+// n. One layout serves every precision:
+//   fp32 — the panels feed the micro-kernel in place;
+//   fp16 — Half panels, bulk-decoded one tile at a time;
+//   int8 — each panel carries its fp32 scales, [ceil(kc/64)][kNr],
+//          ahead of its [kc][kNr] int8 codes. Every weight row is
+//          quantized as tensor/quantize's QuantizeF32(row, k, 64) does
+//          (same rounding, poison-block and zero-scale policy), and a
+//          tile is decoded per call as code * scale, which is
+//          DequantizeF32's product. Padding lanes get scale 0, code 0.
+// All three run the blocked driver at every shape, so results are
+// bitwise Gemm(false, true, ...) on the fp32 rows the matching
+// Decode*PanelRow returns.
+inline constexpr std::int64_t kPanelQuantBlock = 64;
 [[nodiscard]] std::int64_t PanelElems(std::int64_t n, std::int64_t k);
+[[nodiscard]] std::int64_t QuantPanelBytes(std::int64_t n, std::int64_t k);
 void PackPanelsT(const float* w, std::int64_t n, std::int64_t k,
                  float* dst);
 void PackHalfPanelsT(const float* w, std::int64_t n, std::int64_t k,
                      Half* dst);
+void PackQuantPanelsT(const float* w, std::int64_t n, std::int64_t k,
+                      std::byte* dst);
 // Row `row` of the panel-packed [n, k] matrix as fp32 (embedding
-// gathers).
+// gathers); a row outside [0, n) is a ZERO_CHECK failure.
 void DecodePanelRow(const float* panels, std::int64_t n, std::int64_t k,
                     std::int64_t row, float* dst);
 void DecodeHalfPanelRow(const Half* panels, std::int64_t n, std::int64_t k,
                         std::int64_t row, float* dst);
+void DecodeQuantPanelRow(const std::byte* panels, std::int64_t n,
+                         std::int64_t k, std::int64_t row, float* dst);
 void GemmPanelsT(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                  const float* a, const float* panels, float beta, float* c);
 void GemmHalfPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,
                      float alpha, const float* a, const Half* panels,
                      float beta, float* c);
+void GemmQuantPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,
+                      float alpha, const float* a, const std::byte* panels,
+                      float beta, float* c);
 
 // Writes a head-major K row (head h at columns [h*hd, (h+1)*hd)) in the
 // dimension-major order PagedCausalAttention reads, dst[d * heads + h],
