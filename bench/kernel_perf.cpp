@@ -308,10 +308,9 @@ int main(int argc, char** argv) {
     rep.Add("half_add_into_gelems", n / t / 1e9);
   }
 
-  // ---- transformer epilogues: bias+GELU forward/backward, causal
-  // softmax. All three run on the inline vectorized Exp; falling back to
-  // per-element libm calls makes them 2.5x (softmax) to 25x (GELU)
-  // slower, below 75% of their baselines.
+  // ---- transformer epilogues: bias+GELU forward/backward. Both run on
+  // the inline vectorized Exp; falling back to per-element libm calls
+  // makes them about 25x slower, below 75% of their baselines.
   {
     const std::int64_t rows = 512, cols = 1024;
     const std::size_t n = static_cast<std::size_t>(rows * cols);
@@ -331,18 +330,67 @@ int main(int argc, char** argv) {
     });
     rep.Add("bias_gelu_bwd_gelems", n / t / 1e9);
   }
+  // ---- causal attention, serial. Only unmasked flops count: 4 * hd
+  // per (query, key <= query) pair forward (scores, context), 10 * hd
+  // backward (recomputed scores, dP, dQ, dK, dV).
   {
-    // 16 heads of 128x128 causal attention scores, softmaxed in place
-    // (refilled from `src` each repetition; the copy is in the timing).
-    const std::int64_t heads = 16, seq = 128;
-    const std::size_t n = static_cast<std::size_t>(heads * seq * seq);
-    auto src = RandVec(n, 10);
-    std::vector<float> scores(n);
-    const double t = BestSeconds([&] {
-      std::memcpy(scores.data(), src.data(), n * sizeof(float));
-      zero::tensor::CausalMaskedSoftmax(scores.data(), heads, seq, seq);
+    zero::tensor::IntraOpWorkersGuard guard(1);
+    // Training shape: 4 sequences x 4 heads, S 128, hd 32, in place in
+    // the qkv projection rows.
+    const std::int64_t seqs = 4, seq = 128, heads = 4, hd = 32;
+    const std::int64_t width = heads * hd, rows = seqs * seq;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+    auto qkv = RandVec(static_cast<std::size_t>(rows * 3 * width), 10);
+    auto dctx = RandVec(static_cast<std::size_t>(rows * width), 13);
+    std::vector<float> ctx(dctx.size()), dqkv(qkv.size());
+    std::vector<const float*> k(static_cast<std::size_t>(rows)), v(k.size());
+    for (std::int64_t r = 0; r < rows; ++r) {
+      k[static_cast<std::size_t>(r)] = qkv.data() + r * 3 * width + width;
+      v[static_cast<std::size_t>(r)] = qkv.data() + r * 3 * width + 2 * width;
+    }
+    std::vector<zero::tensor::AttentionSeq> views;
+    for (std::int64_t b = 0; b < seqs; ++b) {
+      views.push_back({0, seq, qkv.data() + b * seq * 3 * width,
+                       k.data() + b * seq, v.data() + b * seq,
+                       ctx.data() + b * seq * width});
+    }
+    const double pairs = seqs * heads * seq * (seq + 1) / 2.0;
+    double t = BestSeconds([&] {
+      zero::tensor::CausalAttentionForward(views, heads, hd, scale,
+                                           3 * width, width);
     });
-    rep.Add("causal_softmax_gelems", n / t / 1e9);
+    rep.Add("causal_attention_fwd_gflops", 4.0 * hd * pairs / t / 1e9);
+    t = BestSeconds([&] {
+      zero::tensor::CausalAttentionBackward(seqs, seq, heads, hd, scale,
+                                            qkv.data(), dctx.data(),
+                                            dqkv.data());
+    });
+    rep.Add("causal_attention_bwd_gflops", 10.0 * hd * pairs / t / 1e9);
+  }
+  {
+    // Decode shape: 1 query against 128 cached keys, 8 heads, hd 16.
+    // 64 calls per timing.
+    zero::tensor::IntraOpWorkersGuard guard(1);
+    constexpr int kCalls = 64;
+    const std::int64_t keys = 128, heads = 8, hd = 16, width = heads * hd;
+    auto q = RandVec(static_cast<std::size_t>(width), 14);
+    auto kv = RandVec(static_cast<std::size_t>(keys * 2 * width), 15);
+    std::vector<float> ctx(static_cast<std::size_t>(width));
+    std::vector<const float*> k(static_cast<std::size_t>(keys)), v(k.size());
+    for (std::int64_t j = 0; j < keys; ++j) {
+      k[static_cast<std::size_t>(j)] = kv.data() + j * 2 * width;
+      v[static_cast<std::size_t>(j)] = kv.data() + j * 2 * width + width;
+    }
+    const zero::tensor::AttentionSeq view{keys - 1, 1, q.data(), k.data(),
+                                          v.data(), ctx.data()};
+    const double t = BestSeconds([&] {
+      for (int i = 0; i < kCalls; ++i) {
+        zero::tensor::CausalAttentionForward({&view, 1}, heads, hd, 0.25f,
+                                             width, width);
+      }
+    });
+    rep.Add("causal_attention_decode_gflops",
+            4.0 * hd * keys * heads * kCalls / t / 1e9);
   }
 
   // ---- LayerNorm forward + squared-norm reduction ----

@@ -7,6 +7,7 @@
 #include "comm/communicator.hpp"
 #include "common/error.hpp"
 #include "model/serving_weights.hpp"
+#include "obs/trace.hpp"
 #include "tensor/kernels.hpp"
 
 namespace zero::model {
@@ -43,35 +44,34 @@ Rng RowStream(std::uint64_t seed, ParamCode code, std::int64_t layer,
                          static_cast<std::uint64_t>(global_row));
 }
 
-// Copy head-sliced columns [col0, col0+lh*hd) of src [B*S, row_width]
-// into dst laid out as [B*lh, S, hd] with contiguous (S, hd) per head.
-void SplitHeads(const float* src, std::int64_t row_width, std::int64_t col0,
-                float* dst, std::int64_t b_count, std::int64_t s_count,
-                std::int64_t lh, std::int64_t hd) {
-  for (std::int64_t b = 0; b < b_count; ++b) {
-    for (std::int64_t h = 0; h < lh; ++h) {
-      for (std::int64_t s = 0; s < s_count; ++s) {
-        const float* from = src + (b * s_count + s) * row_width + col0 + h * hd;
-        float* to = dst + ((b * lh + h) * s_count + s) * hd;
-        std::memcpy(to, from, static_cast<std::size_t>(hd) * sizeof(float));
-      }
-    }
-  }
+float AttentionScale(std::int64_t hd) {
+  return 1.0f / std::sqrt(static_cast<float>(hd));
 }
 
-// Inverse of SplitHeads (writes into the given column range of dst rows).
-void MergeHeads(const float* src, float* dst, std::int64_t row_width,
-                std::int64_t col0, std::int64_t b_count, std::int64_t s_count,
-                std::int64_t lh, std::int64_t hd) {
-  for (std::int64_t b = 0; b < b_count; ++b) {
-    for (std::int64_t h = 0; h < lh; ++h) {
-      for (std::int64_t s = 0; s < s_count; ++s) {
-        const float* from = src + ((b * lh + h) * s_count + s) * hd;
-        float* to = dst + (b * s_count + s) * row_width + col0 + h * hd;
-        std::memcpy(to, from, static_cast<std::size_t>(hd) * sizeof(float));
-      }
-    }
+// Causal attention of b_count dense sequences of s_count rows, read in
+// place from their [rows, 3 * lh * hd] qkv projection: each sequence's
+// key/value table lists its own rows.
+void DenseAttentionForward(const float* qkv, float* ctx, std::int64_t b_count,
+                           std::int64_t s_count, std::int64_t lh,
+                           std::int64_t hd) {
+  const std::int64_t hm = lh * hd;
+  std::vector<const float*> k_rows(static_cast<std::size_t>(b_count * s_count));
+  std::vector<const float*> v_rows(k_rows.size());
+  for (std::size_t r = 0; r < k_rows.size(); ++r) {
+    k_rows[r] = qkv + static_cast<std::int64_t>(r) * 3 * hm + hm;
+    v_rows[r] = k_rows[r] + hm;
   }
+  std::vector<tensor::AttentionSeq> seqs(static_cast<std::size_t>(b_count));
+  for (std::int64_t b = 0; b < b_count; ++b) {
+    const std::int64_t r0 = b * s_count;
+    seqs[static_cast<std::size_t>(b)] = {0,
+                                         s_count,
+                                         qkv + r0 * 3 * hm,
+                                         k_rows.data() + r0,
+                                         v_rows.data() + r0,
+                                         ctx + r0 * hm};
+  }
+  tensor::CausalAttentionForward(seqs, lh, hd, AttentionScale(hd), 3 * hm, hm);
 }
 
 }  // namespace
@@ -81,10 +81,7 @@ void GptModel::LayerStash::DropAll() {
   ln1_mean = Tensor();
   ln1_rstd = Tensor();
   a = Tensor();
-  q = Tensor();
-  k = Tensor();
-  v = Tensor();
-  att = Tensor();
+  qkv = Tensor();
   ctx = Tensor();
   x_mid = Tensor();
   ln2_mean = Tensor();
@@ -267,63 +264,29 @@ void GptModel::BlockForward(std::span<const float> up, const float* x_in,
   const std::int64_t m = mp_size();
   const std::int64_t hm = h / m;
   const std::int64_t im = config_.inner() / m;
-  const std::int64_t lh = LocalHeads();
-  const std::int64_t hd = h / config_.heads;
-  const std::int64_t b_count = bs / config_.seq;
-  const std::int64_t s_count = config_.seq;
 
-  st.ln1_mean = NewAct({bs});
-  st.ln1_rstd = NewAct({bs});
-  st.a = NewAct({bs, h});
-  K::LayerNormForward(x_in, up.data() + lo_.ln1_g, up.data() + lo_.ln1_b,
-                      st.a.f32().data(), st.ln1_mean.f32().data(),
-                      st.ln1_rstd.f32().data(), bs, h, config_.ln_eps);
-
-  // qkv projection (column-parallel), then split per local head.
   {
-    Tensor qkv = NewAct({bs, 3 * hm});
+    TRACE_SPAN("model/attention_fwd");
+    st.ln1_mean = NewAct({bs});
+    st.ln1_rstd = NewAct({bs});
+    st.a = NewAct({bs, h});
+    K::LayerNormForward(x_in, up.data() + lo_.ln1_g, up.data() + lo_.ln1_b,
+                        st.a.f32().data(), st.ln1_mean.f32().data(),
+                        st.ln1_rstd.f32().data(), bs, h, config_.ln_eps);
+
+    // qkv projection (column-parallel); attention reads its rows in place.
+    st.qkv = NewAct({bs, 3 * hm});
     K::Gemm(false, true, bs, 3 * hm, h, 1.0f, st.a.f32().data(),
-            up.data() + lo_.w_qkv, 0.0f, qkv.f32().data());
-    K::AddBiasRows(qkv.f32().data(), up.data() + lo_.b_qkv, bs, 3 * hm);
-    st.q = NewAct({b_count * lh, s_count, hd});
-    st.k = NewAct({b_count * lh, s_count, hd});
-    st.v = NewAct({b_count * lh, s_count, hd});
-    SplitHeads(qkv.f32().data(), 3 * hm, 0, st.q.f32().data(), b_count,
-               s_count, lh, hd);
-    SplitHeads(qkv.f32().data(), 3 * hm, hm, st.k.f32().data(), b_count,
-               s_count, lh, hd);
-    SplitHeads(qkv.f32().data(), 3 * hm, 2 * hm, st.v.f32().data(), b_count,
-               s_count, lh, hd);
-  }
+            up.data() + lo_.w_qkv, 0.0f, st.qkv.f32().data());
+    K::AddBiasRows(st.qkv.f32().data(), up.data() + lo_.b_qkv, bs, 3 * hm);
+    st.ctx = NewAct({bs, hm});
+    DenseAttentionForward(st.qkv.f32().data(), st.ctx.f32().data(),
+                          bs / config_.seq, config_.seq, LocalHeads(),
+                          h / config_.heads);
 
-  // Scaled dot-product attention with causal mask, per (batch, head).
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-  st.att = NewAct({b_count * lh, s_count, s_count});
-  for (std::int64_t bh = 0; bh < b_count * lh; ++bh) {
-    K::Gemm(false, true, s_count, s_count, hd, scale,
-            st.q.f32().data() + bh * s_count * hd,
-            st.k.f32().data() + bh * s_count * hd, 0.0f,
-            st.att.f32().data() + bh * s_count * s_count);
-  }
-  K::CausalMaskedSoftmax(st.att.f32().data(), b_count * lh, s_count, s_count);
-
-  st.ctx = NewAct({bs, hm});
-  {
-    Tensor ctx_heads = NewAct({b_count * lh, s_count, hd});
-    for (std::int64_t bh = 0; bh < b_count * lh; ++bh) {
-      K::Gemm(false, false, s_count, hd, s_count, 1.0f,
-              st.att.f32().data() + bh * s_count * s_count,
-              st.v.f32().data() + bh * s_count * hd, 0.0f,
-              ctx_heads.f32().data() + bh * s_count * hd);
-    }
-    MergeHeads(ctx_heads.f32().data(), st.ctx.f32().data(), hm, 0, b_count,
-               s_count, lh, hd);
-  }
-
-  // Attention output projection (row-parallel): partial matmul, then
-  // MP all-reduce #1, then the replicated bias.
-  st.x_mid = NewAct({bs, h});
-  {
+    // Attention output projection (row-parallel): partial matmul, then
+    // MP all-reduce #1, then the replicated bias.
+    st.x_mid = NewAct({bs, h});
     Tensor o = NewAct({bs, h});
     K::Gemm(false, true, bs, h, hm, 1.0f, st.ctx.f32().data(),
             up.data() + lo_.w_o, 0.0f, o.f32().data());
@@ -334,6 +297,7 @@ void GptModel::BlockForward(std::span<const float> up, const float* x_in,
     for (std::int64_t i = 0; i < bs * h; ++i) xm[i] = x_in[i] + ov[i];
   }
 
+  TRACE_SPAN("model/mlp_fwd");
   st.ln2_mean = NewAct({bs});
   st.ln2_rstd = NewAct({bs});
   st.b2 = NewAct({bs, h});
@@ -353,16 +317,14 @@ void GptModel::BlockForward(std::span<const float> up, const float* x_in,
                      st.h1.f32().data(), st.f.f32().data(), bs, im);
 
   // MLP output projection (row-parallel): MP all-reduce #2.
-  {
-    Tensor p = NewAct({bs, h});
-    K::Gemm(false, true, bs, h, im, 1.0f, st.f.f32().data(),
-            up.data() + lo_.w_pr, 0.0f, p.f32().data());
-    MpAllReduce(p.f32().data(), bs * h);
-    K::AddBiasRows(p.f32().data(), up.data() + lo_.b_pr, bs, h);
-    const float* pv = p.f32().data();
-    const float* xm = st.x_mid.f32().data();
-    for (std::int64_t i = 0; i < bs * h; ++i) x_out[i] = xm[i] + pv[i];
-  }
+  Tensor p = NewAct({bs, h});
+  K::Gemm(false, true, bs, h, im, 1.0f, st.f.f32().data(),
+          up.data() + lo_.w_pr, 0.0f, p.f32().data());
+  MpAllReduce(p.f32().data(), bs * h);
+  K::AddBiasRows(p.f32().data(), up.data() + lo_.b_pr, bs, h);
+  const float* pv = p.f32().data();
+  const float* xm = st.x_mid.f32().data();
+  for (std::int64_t i = 0; i < bs * h; ++i) x_out[i] = xm[i] + pv[i];
 }
 
 void GptModel::BlockBackward(std::span<const float> up, const LayerStash& st,
@@ -374,40 +336,38 @@ void GptModel::BlockBackward(std::span<const float> up, const LayerStash& st,
   const std::int64_t m = mp_size();
   const std::int64_t hm = h / m;
   const std::int64_t im = config_.inner() / m;
-  const std::int64_t lh = LocalHeads();
   const std::int64_t hd = h / config_.heads;
-  const std::int64_t b_count = bs / config_.seq;
-  const std::int64_t s_count = config_.seq;
   float* g = ugrad.data();
 
-  // ---- MLP branch ----
   Tensor dx_mid_t = NewAct({bs, h});
   float* dx_mid = dx_mid_t.f32().data();
-  std::memcpy(dx_mid, d_out, static_cast<std::size_t>(bs * h) * sizeof(float));
-
-  K::BiasGradFromRows(d_out, g + lo_.b_pr, bs, h);
-  Tensor df_t = NewAct({bs, im});
-  K::Gemm(false, false, bs, im, h, 1.0f, d_out, up.data() + lo_.w_pr, 0.0f,
-          df_t.f32().data());
-  K::Gemm(true, false, h, im, bs, 1.0f, d_out, st.f.f32().data(), 1.0f,
-          g + lo_.w_pr);
-
-  Tensor dh1_t = NewAct({bs, im});
-  K::BiasGeluBackward(st.h1.f32().data(), df_t.f32().data(),
-                      dh1_t.f32().data(), g + lo_.b_fc, bs, im);
-  df_t = Tensor();
-
-  K::Gemm(true, false, im, h, bs, 1.0f, dh1_t.f32().data(),
-          st.b2.f32().data(), 1.0f, g + lo_.w_fc);
-
-  Tensor db2_t = NewAct({bs, h});
-  K::Gemm(false, false, bs, h, im, 1.0f, dh1_t.f32().data(),
-          up.data() + lo_.w_fc, 0.0f, db2_t.f32().data());
-  dh1_t = Tensor();
-  // MP backward all-reduce #1 (input grad of the column-parallel fc).
-  MpAllReduce(db2_t.f32().data(), bs * h);
-
   {
+    TRACE_SPAN("model/mlp_bwd");
+    std::memcpy(dx_mid, d_out,
+                static_cast<std::size_t>(bs * h) * sizeof(float));
+
+    K::BiasGradFromRows(d_out, g + lo_.b_pr, bs, h);
+    Tensor df_t = NewAct({bs, im});
+    K::Gemm(false, false, bs, im, h, 1.0f, d_out, up.data() + lo_.w_pr, 0.0f,
+            df_t.f32().data());
+    K::Gemm(true, false, h, im, bs, 1.0f, d_out, st.f.f32().data(), 1.0f,
+            g + lo_.w_pr);
+
+    Tensor dh1_t = NewAct({bs, im});
+    K::BiasGeluBackward(st.h1.f32().data(), df_t.f32().data(),
+                        dh1_t.f32().data(), g + lo_.b_fc, bs, im);
+    df_t = Tensor();
+
+    K::Gemm(true, false, im, h, bs, 1.0f, dh1_t.f32().data(),
+            st.b2.f32().data(), 1.0f, g + lo_.w_fc);
+
+    Tensor db2_t = NewAct({bs, h});
+    K::Gemm(false, false, bs, h, im, 1.0f, dh1_t.f32().data(),
+            up.data() + lo_.w_fc, 0.0f, db2_t.f32().data());
+    dh1_t = Tensor();
+    // MP backward all-reduce #1 (input grad of the column-parallel fc).
+    MpAllReduce(db2_t.f32().data(), bs * h);
+
     Tensor dxt = NewAct({bs, h});
     K::LayerNormBackward(st.x_mid.f32().data(), up.data() + lo_.ln2_g,
                          st.ln2_mean.f32().data(), st.ln2_rstd.f32().data(),
@@ -415,9 +375,9 @@ void GptModel::BlockBackward(std::span<const float> up, const LayerStash& st,
                          g + lo_.ln2_b, bs, h);
     K::Axpy(1.0f, dxt.f32().data(), dx_mid, bs * h);
   }
-  db2_t = Tensor();
 
   // ---- attention branch (gradient at x_mid is now complete) ----
+  TRACE_SPAN("model/attention_bwd");
   K::BiasGradFromRows(dx_mid, g + lo_.b_o, bs, h);
   Tensor dctx_t = NewAct({bs, hm});
   K::Gemm(false, false, bs, hm, h, 1.0f, dx_mid, up.data() + lo_.w_o, 0.0f,
@@ -425,56 +385,11 @@ void GptModel::BlockBackward(std::span<const float> up, const LayerStash& st,
   K::Gemm(true, false, h, hm, bs, 1.0f, dx_mid, st.ctx.f32().data(), 1.0f,
           g + lo_.w_o);
 
-  Tensor dctxh_t = NewAct({b_count * lh, s_count, hd});
-  SplitHeads(dctx_t.f32().data(), hm, 0, dctxh_t.f32().data(), b_count,
-             s_count, lh, hd);
-  dctx_t = Tensor();
-
-  Tensor datt_t = NewAct({b_count * lh, s_count, s_count});
-  Tensor dv_t = NewAct({b_count * lh, s_count, hd});
-  for (std::int64_t bh = 0; bh < b_count * lh; ++bh) {
-    K::Gemm(false, true, s_count, s_count, hd, 1.0f,
-            dctxh_t.f32().data() + bh * s_count * hd,
-            st.v.f32().data() + bh * s_count * hd, 0.0f,
-            datt_t.f32().data() + bh * s_count * s_count);
-    K::Gemm(true, false, s_count, hd, s_count, 1.0f,
-            st.att.f32().data() + bh * s_count * s_count,
-            dctxh_t.f32().data() + bh * s_count * hd, 0.0f,
-            dv_t.f32().data() + bh * s_count * hd);
-  }
-  dctxh_t = Tensor();
-
-  // Softmax backward (masked entries have probability 0, so their
-  // gradient vanishes automatically).
-  K::SoftmaxBackwardRows(st.att.f32().data(), datt_t.f32().data(),
-                         datt_t.f32().data(), b_count * lh * s_count,
-                         s_count);
-
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-  Tensor dq_t = NewAct({b_count * lh, s_count, hd});
-  Tensor dk_t = NewAct({b_count * lh, s_count, hd});
-  for (std::int64_t bh = 0; bh < b_count * lh; ++bh) {
-    K::Gemm(false, false, s_count, hd, s_count, scale,
-            datt_t.f32().data() + bh * s_count * s_count,
-            st.k.f32().data() + bh * s_count * hd, 0.0f,
-            dq_t.f32().data() + bh * s_count * hd);
-    K::Gemm(true, false, s_count, hd, s_count, scale,
-            datt_t.f32().data() + bh * s_count * s_count,
-            st.q.f32().data() + bh * s_count * hd, 0.0f,
-            dk_t.f32().data() + bh * s_count * hd);
-  }
-  datt_t = Tensor();
-
   Tensor dqkv_t = NewAct({bs, 3 * hm});
-  MergeHeads(dq_t.f32().data(), dqkv_t.f32().data(), 3 * hm, 0, b_count,
-             s_count, lh, hd);
-  MergeHeads(dk_t.f32().data(), dqkv_t.f32().data(), 3 * hm, hm, b_count,
-             s_count, lh, hd);
-  MergeHeads(dv_t.f32().data(), dqkv_t.f32().data(), 3 * hm, 2 * hm, b_count,
-             s_count, lh, hd);
-  dq_t = Tensor();
-  dk_t = Tensor();
-  dv_t = Tensor();
+  K::CausalAttentionBackward(bs / config_.seq, config_.seq, LocalHeads(), hd,
+                             AttentionScale(hd), st.qkv.f32().data(),
+                             dctx_t.f32().data(), dqkv_t.f32().data());
+  dctx_t = Tensor();
 
   K::BiasGradFromRows(dqkv_t.f32().data(), g + lo_.b_qkv, bs, 3 * hm);
   K::Gemm(true, false, 3 * hm, h, bs, 1.0f, dqkv_t.f32().data(),
@@ -487,15 +402,12 @@ void GptModel::BlockBackward(std::span<const float> up, const LayerStash& st,
   // MP backward all-reduce #2 (input grad of the column-parallel qkv).
   MpAllReduce(da_t.f32().data(), bs * h);
 
-  {
-    Tensor dxt = NewAct({bs, h});
-    K::LayerNormBackward(x_in, up.data() + lo_.ln1_g,
-                         st.ln1_mean.f32().data(), st.ln1_rstd.f32().data(),
-                         da_t.f32().data(), dxt.f32().data(), g + lo_.ln1_g,
-                         g + lo_.ln1_b, bs, h);
-    const float* dxtp = dxt.f32().data();
-    for (std::int64_t i = 0; i < bs * h; ++i) d_in[i] = dx_mid[i] + dxtp[i];
-  }
+  Tensor dxt = NewAct({bs, h});
+  K::LayerNormBackward(x_in, up.data() + lo_.ln1_g, st.ln1_mean.f32().data(),
+                       st.ln1_rstd.f32().data(), da_t.f32().data(),
+                       dxt.f32().data(), g + lo_.ln1_g, g + lo_.ln1_b, bs, h);
+  const float* dxtp = dxt.f32().data();
+  for (std::int64_t i = 0; i < bs * h; ++i) d_in[i] = dx_mid[i] + dxtp[i];
 }
 
 float GptModel::EvalForwardLogits(const Batch& batch, ParamProvider& params,
@@ -623,9 +535,15 @@ int GptModel::DecodeForward(std::span<const DecodeToken> tokens,
     }
   }
 
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-  // One group's cached K/V row pointers for the current layer.
-  std::vector<float*> k_rows, v_rows;
+  // One layer's K/V row tables: group i's keys 0..pos0+q_len-1 in order,
+  // the groups back to back.
+  std::size_t table_rows = 0;
+  for (const Group& g : groups) {
+    table_rows += static_cast<std::size_t>(
+        tokens[static_cast<std::size_t>(g.begin)].pos + g.end - g.begin);
+  }
+  std::vector<const float*> k_rows(table_rows), v_rows(table_rows);
+  std::vector<K::AttentionSeq> seqs(groups.size());
 
   for (int l = 0; l < layers; ++l) {
     const int unit = l + 1;
@@ -644,37 +562,34 @@ int GptModel::DecodeForward(std::span<const DecodeToken> tokens,
     K::AddBiasRows(qkv.f32().data(), weights.Vec(unit, lo_.b_qkv), n,
                    3 * hm);
 
-    // Paged causal attention against the cached prefix, read in place.
-    // The GEMM accumulation contract makes every score and context
-    // element bitwise the full forward's (kernels.hpp), so nothing is
-    // staged or padded.
+    // Append this step's K/V rows, then attend over the cached prefix in
+    // place with the forward's own kernel: each row is bitwise the row
+    // the full-sequence forward computes (kernels.hpp row contract).
     const float* qkvp = qkv.f32().data();
     Tensor ctx = NewAct({n, hm});
     float* ctxp = ctx.f32().data();
-    for (const Group& g : groups) {
-      const std::int64_t q_len = g.end - g.begin;
-      const std::int64_t pos0 = tokens[static_cast<std::size_t>(g.begin)].pos;
-      const std::int32_t slot = tokens[static_cast<std::size_t>(g.begin)].slot;
-      const std::int64_t k_len = pos0 + q_len;
-      k_rows.resize(static_cast<std::size_t>(k_len));
-      v_rows.resize(static_cast<std::size_t>(k_len));
-      for (std::int64_t j = 0; j < k_len; ++j) {
-        k_rows[static_cast<std::size_t>(j)] = kv.KRow(slot, l, j);
-        v_rows[static_cast<std::size_t>(j)] = kv.VRow(slot, l, j);
+    std::size_t t = 0;
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      const Group& g = groups[i];
+      const DecodeToken& first = tokens[static_cast<std::size_t>(g.begin)];
+      seqs[i] = {first.pos,          g.end - g.begin,
+                 qkvp + g.begin * 3 * hm, k_rows.data() + t,
+                 v_rows.data() + t,  ctxp + g.begin * hm};
+      for (std::int64_t j = 0; j < first.pos + g.end - g.begin; ++j, ++t) {
+        float* k_row = kv.KRow(first.slot, l, j);
+        float* v_row = kv.VRow(first.slot, l, j);
+        if (j >= first.pos) {
+          const float* row = qkvp + (g.begin + j - first.pos) * 3 * hm;
+          std::memcpy(k_row, row + hm,
+                      static_cast<std::size_t>(hm) * sizeof(float));
+          std::memcpy(v_row, row + 2 * hm,
+                      static_cast<std::size_t>(hm) * sizeof(float));
+        }
+        k_rows[t] = k_row;
+        v_rows[t] = v_row;
       }
-      // Append this step's K/V rows before attending, so tokens later in
-      // a prefill chunk see earlier ones.
-      for (std::int64_t t = 0; t < q_len; ++t) {
-        const float* row = qkvp + (g.begin + t) * 3 * hm;
-        K::PackKeyRow(row + hm, lh, hd,
-                      k_rows[static_cast<std::size_t>(pos0 + t)]);
-        std::memcpy(v_rows[static_cast<std::size_t>(pos0 + t)], row + 2 * hm,
-                    static_cast<std::size_t>(hm) * sizeof(float));
-      }
-      K::PagedCausalAttention(q_len, pos0, lh, hd, scale,
-                              qkvp + g.begin * 3 * hm, 3 * hm, k_rows.data(),
-                              v_rows.data(), ctxp + g.begin * hm, hm);
     }
+    K::CausalAttentionForward(seqs, lh, hd, AttentionScale(hd), 3 * hm, hm);
 
     // Attention output projection (row-parallel) + MP all-reduce #1. The
     // nonblocking launcher is bit-identical to the blocking twin.

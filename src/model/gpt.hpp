@@ -65,11 +65,11 @@ struct DecodeToken {
 
 // Paged per-sequence K/V storage, provided by the serve layer. Rows hold
 // this rank's local heads only (hidden / mp floats), so an MP-sharded
-// engine caches exactly its slice. V rows are head-major, the column
-// order of a qkv projection row; K rows are dimension-major, as
-// tensor::PackKeyRow writes them for the attention kernel. Row pointers
-// need not be contiguous across positions: the serve pool hands out
-// block-granular storage.
+// engine caches exactly its slice. K and V rows are both head-major, the
+// column order of a qkv projection row, so decode appends them with a
+// memcpy each and the attention kernel reads them as training does. Row
+// pointers need not be contiguous across positions: the serve pool hands
+// out block-granular storage, and the kernel reads it through row tables.
 class KvCache {
  public:
   virtual ~KvCache() = default;
@@ -108,12 +108,13 @@ class GptModel final : public FlatParamModel {
   // Packed incremental decode over engine-resident serving weights (a
   // GEMM-backend encoding of the local shard): one batched block forward
   // over all tokens of a serving step. Appends every token's K/V rows to
-  // `kv`, attends against the cached prefix in place
-  // (tensor::PagedCausalAttention), and writes logits for the *last*
-  // token of each sequence group into consecutive rows of `logits_out`
-  // (group order). Returns the number of groups. Every kernel it runs
-  // computes each output element independently of the batch shape
-  // (tensor::Gemm's accumulation contract), so with the "fp32" backend
+  // `kv`, then attends against the cached prefix in place with the same
+  // tensor::CausalAttentionForward the training forward calls, and
+  // writes logits for the *last* token of each sequence group into
+  // consecutive rows of `logits_out` (group order). Returns the number
+  // of groups. Every kernel it runs computes each output row
+  // independently of the batch shape (tensor::Gemm's accumulation
+  // contract, the attention row contract), so with the "fp32" backend
   // the logits are memcmp-equal to EvalForwardLogits at any model
   // shape; reduced-precision backends stay within the bounded logit
   // error DESIGN.md §16 documents.
@@ -149,14 +150,15 @@ class GptModel final : public FlatParamModel {
     std::int64_t w_pr, b_pr;    // row-parallel: [H, I/m], bias [H] replicated
   };
 
-  // Everything backward needs from one block's forward.
+  // Everything backward needs from one block's forward. Attention keeps
+  // only its input rows and output: its backward recomputes the
+  // probabilities, so nothing [S, S] is stashed.
   struct LayerStash {
     tensor::Tensor x_in;   // [BS, H] block input (or checkpoint handle)
     std::int64_t ckpt_handle = -1;
     tensor::Tensor ln1_mean, ln1_rstd;  // [BS]
     tensor::Tensor a;      // [BS, H] ln1 output
-    tensor::Tensor q, k, v;  // [B*lh, S, hd]
-    tensor::Tensor att;    // [B*lh, S, S] softmax probabilities
+    tensor::Tensor qkv;    // [BS, 3*H/m] q | k | v rows, head-major
     tensor::Tensor ctx;    // [BS, H/m]
     tensor::Tensor x_mid;  // [BS, H] after first residual
     tensor::Tensor ln2_mean, ln2_rstd;

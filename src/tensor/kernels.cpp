@@ -1,11 +1,16 @@
 #include "tensor/kernels.hpp"
 
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
+
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "alloc/scratch.hpp"
@@ -30,10 +35,6 @@ constexpr std::int64_t kNr = 32;
 constexpr std::int64_t kMc = 256;
 constexpr std::int64_t kKc = 128;
 constexpr std::int64_t kNc = 4096;
-
-// Below this flop count the packing overhead dominates; use a direct
-// strided path (attention runs many tiny per-head GEMMs).
-constexpr std::int64_t kSmallGemmFlops = 1 << 15;
 
 // Chunk sizes for deterministic parallel partitioning. These are part
 // of each kernel's numeric contract: partials are combined in
@@ -73,72 +74,13 @@ void ApplyBeta(float beta, float* c, std::int64_t mn) {
 }
 
 // ---------------------------------------------------------------------------
-// Every path below follows the accumulation contract in kernels.hpp: per
-// kKc block of k, a fresh std::fma chain over (alpha * a) * b in kk
-// order, added to C once. The explicit fma matters: under GCC's default
-// -ffp-contract=fast the compiler may fuse a plain `acc += a * b`
-// differently in a vector body than in its remainder, and then an
-// element's bits would depend on its position in a tile.
-
-// Direct path for small problems. The output columns are the SIMD lanes
-// and each lane keeps its own serial chain, so the inner loop
-// vectorizes without reassociating anything; up to kMr rows share each
-// pass over B for instruction-level parallelism. A rows are pre-scaled
-// by alpha, and a transposed B is copied to [k, n] rows first. No
-// zero-multiplicand skipping: 0 * Inf must produce NaN for the
-// loss-scaler's overflow detection.
-void SmallGemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-               std::int64_t k, float alpha, const float* a, const float* b,
-               float* c) {
-  alloc::ScratchArena& scratch = alloc::ThreadScratch();
-  alloc::ScratchGuard guard(scratch);
-  const float* bk = b;
-  if (trans_b) {
-    float* t = scratch.AllocateT<float>(static_cast<std::size_t>(k * n));
-    for (std::int64_t j = 0; j < n; ++j) {
-      for (std::int64_t kk = 0; kk < k; ++kk) t[kk * n + j] = b[j * k + kk];
-    }
-    bk = t;
-  }
-  const std::int64_t groups = (m + kMr - 1) / kMr;
-  ParallelFor(0, groups, RowGrain(kMr * n * k), [&](std::int64_t g0,
-                                                    std::int64_t g1) {
-    alloc::ScratchArena& task_scratch = alloc::ThreadScratch();
-    alloc::ScratchGuard task_guard(task_scratch);
-    float* as =
-        task_scratch.AllocateT<float>(static_cast<std::size_t>(kMr * k));
-    float* acc =
-        task_scratch.AllocateT<float>(static_cast<std::size_t>(kMr * n));
-    for (std::int64_t g = g0; g < g1; ++g) {
-      const std::int64_t i0 = g * kMr;
-      const std::int64_t rows = std::min(kMr, m - i0);
-      for (std::int64_t r = 0; r < rows; ++r) {
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-          as[r * k + kk] = alpha * OpA(a, trans_a, m, k, i0 + r, kk);
-        }
-      }
-      for (std::int64_t pc = 0; pc < k; pc += kKc) {
-        const std::int64_t p1 = std::min(k, pc + kKc);
-        std::memset(acc, 0, static_cast<std::size_t>(rows * n) * sizeof(float));
-        for (std::int64_t kk = pc; kk < p1; ++kk) {
-          const float* brow = bk + kk * n;
-          for (std::int64_t r = 0; r < rows; ++r) {
-            const float av = as[r * k + kk];
-            float* ar = acc + r * n;
-            for (std::int64_t j = 0; j < n; ++j) {
-              ar[j] = std::fma(av, brow[j], ar[j]);
-            }
-          }
-        }
-        for (std::int64_t r = 0; r < rows; ++r) {
-          float* ci = c + (i0 + r) * n;
-          const float* ar = acc + r * n;
-          for (std::int64_t j = 0; j < n; ++j) ci[j] += ar[j];
-        }
-      }
-    }
-  });
-}
+// The blocked driver below follows the accumulation contract in
+// kernels.hpp at every shape: per kKc block of k, a fresh std::fma chain
+// over (alpha * a) * b in kk order, added to C once. The explicit fma
+// matters: under GCC's default -ffp-contract=fast the compiler may fuse
+// a plain `acc += a * b` differently in a vector body than in its
+// remainder, and then an element's bits would depend on its position in
+// a tile.
 
 // Packs rows [i0, i0+mc) x k-range [p0, p0+kc) of op(A) into micro-panels
 // of kMr rows: dst[(panel * kc + kk) * kMr + r], zero-padded past mc.
@@ -424,11 +366,7 @@ void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           float beta, float* c) {
   ApplyBeta(beta, c, m * n);
   if (m <= 0 || n <= 0 || k <= 0) return;
-  if (m * n * k <= kSmallGemmFlops) {
-    SmallGemm(trans_a, trans_b, m, n, k, alpha, a, b, c);
-  } else {
-    BlockedGemm(trans_a, m, n, k, alpha, a, StridedB{b, trans_b, k, n}, c);
-  }
+  BlockedGemm(trans_a, m, n, k, alpha, a, StridedB{b, trans_b, k, n}, c);
 }
 
 std::int64_t PanelElems(std::int64_t n, std::int64_t k) {
@@ -863,150 +801,409 @@ inline float RowMax(const float* x, std::int64_t n) {
   return mx;
 }
 
-// One row, in place — shared by the softmax entry points so the causal
-// and paged-attention kernels can fuse masking without a nested
-// parallel call.
-inline void SoftmaxRow(float* xr, std::int64_t cols) {
-  const float mx = RowMax(xr, cols);
-  // Exp pass, then a separate serial sum: the first vectorizes and the
-  // second keeps a fixed summation order.
-  for (std::int64_t c = 0; c < cols; ++c) xr[c] = Exp(xr[c] - mx);
-  float sum = 0.0f;
-  for (std::int64_t c = 0; c < cols; ++c) sum += xr[c];
-  const float inv = 1.0f / sum;
-  for (std::int64_t c = 0; c < cols; ++c) xr[c] *= inv;
+// SoftmaxRows' row routine on R rows in place (row stride ld), row r
+// over its first len[r] columns: the max, Exp(x - max), a serial sum in
+// column order, then one multiply by the sum's reciprocal. The rows'
+// sums run interleaved, so a tile of query rows in the attention kernels
+// overlaps R serial chains; each row's bits are the same for any R.
+template <int R>
+void SoftmaxTile(float* x, std::int64_t ld, const std::int64_t (&len)[R]) {
+  float sum[R] = {};
+  std::int64_t common = len[0];
+  for (int r = 0; r < R; ++r) {
+    float* xr = x + r * ld;
+    const float mx = RowMax(xr, len[r]);
+    // Exp pass, then a separate serial sum: the first vectorizes and the
+    // second keeps a fixed summation order.
+    for (std::int64_t c = 0; c < len[r]; ++c) xr[c] = Exp(xr[c] - mx);
+    common = std::min(common, len[r]);
+  }
+  for (std::int64_t c = 0; c < common; ++c) {
+    for (int r = 0; r < R; ++r) sum[r] += x[r * ld + c];
+  }
+  for (int r = 0; r < R; ++r) {
+    float* xr = x + r * ld;
+    for (std::int64_t c = common; c < len[r]; ++c) sum[r] += xr[c];
+    const float inv = 1.0f / sum[r];
+    for (std::int64_t c = 0; c < len[r]; ++c) xr[c] *= inv;
+  }
 }
 }  // namespace
 
 void SoftmaxRows(float* x, std::int64_t rows, std::int64_t cols) {
   ParallelFor(0, rows, RowGrain(cols), [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t r = r0; r < r1; ++r) SoftmaxRow(x + r * cols, cols);
+    for (std::int64_t r = r0; r < r1; ++r) {
+      SoftmaxTile<1>(x + r * cols, cols, {cols});
+    }
   });
 }
 
-void SoftmaxBackwardRows(const float* y, const float* dy, float* dx,
-                         std::int64_t rows, std::int64_t cols) {
-  ParallelFor(0, rows, RowGrain(cols), [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t r = r0; r < r1; ++r) {
-      const float* yr = y + r * cols;
-      const float* dyr = dy + r * cols;
-      float* dxr = dx + r * cols;
-      float dot = 0.0f;
-      for (std::int64_t c = 0; c < cols; ++c) dot += yr[c] * dyr[c];
-      for (std::int64_t c = 0; c < cols; ++c) {
-        dxr[c] = yr[c] * (dyr[c] - dot);
+namespace {
+// ---------------------------------------------------------------------------
+// Causal attention (DESIGN.md §9 "Attention row contract").
+//
+// One task per (sequence, head). A task transposes its head's keys once
+// into kNr-key tiles (the micro-kernel's B-panel layout), then walks its
+// queries in tiles of up to kMr rows: a tile's scores are kNr-key
+// chains over the key tiles up to its last position (later tiles are
+// fully masked and skipped), and its context chains run over value rows
+// read in place. Tile loops are templated on their row count R: a
+// decode step's single query takes R = 1, so it computes no padding
+// rows. Each row's chains are the same for any R.
+//
+// The loops hold their accumulator tiles in registers as Lanes, sixteen
+// floats with an explicit fused multiply-add per lane; left to the
+// auto-vectorizer, these shapes compile to scalar or spilling code.
+// Loads and stores take a mask of leading lanes: lanes past it read as
+// zero and are not written, so no row is touched past its head.
+using Lanes = float __attribute__((vector_size(64)));
+#if defined(__AVX512F__)
+using LaneMask = __mmask16;
+inline LaneMask FirstLanes(std::int64_t n) {
+  return n >= 16 ? LaneMask{0xFFFF}
+                 : static_cast<LaneMask>(
+                       (1u << std::max<std::int64_t>(n, 0)) - 1);
+}
+inline Lanes LoadLanes(const float* p, LaneMask m) {
+  return _mm512_maskz_loadu_ps(m, p);
+}
+inline void StoreLanes(float* p, const Lanes& x, LaneMask m) {
+  _mm512_mask_storeu_ps(p, m, x);
+}
+inline Lanes FmaLanes(float a, const Lanes& b, const Lanes& c) {
+  return _mm512_fmadd_ps(_mm512_set1_ps(a), b, c);
+}
+#else
+// Returning a 64-byte vector has no settled ABI without AVX-512; these
+// helpers are file-local and inlined.
+#pragma GCC diagnostic ignored "-Wpsabi"
+using LaneMask = std::int64_t;  // the number of leading lanes
+inline LaneMask FirstLanes(std::int64_t n) {
+  return std::clamp<std::int64_t>(n, 0, 16);
+}
+inline Lanes LoadLanes(const float* p, LaneMask m) {
+  Lanes x = {};
+  for (std::int64_t l = 0; l < m; ++l) x[l] = p[l];
+  return x;
+}
+inline void StoreLanes(float* p, const Lanes& x, LaneMask m) {
+  for (std::int64_t l = 0; l < m; ++l) p[l] = x[l];
+}
+inline Lanes FmaLanes(float a, const Lanes& b, const Lanes& c) {
+  Lanes y;
+  for (int l = 0; l < 16; ++l) y[l] = std::fma(a, b[l], c[l]);
+  return y;
+}
+#endif
+const LaneMask kAllLanes = FirstLanes(16);
+
+// One butterfly stage of a 16 x 16 transpose: row i keeps its element c
+// where bit B of i equals bit B of c, and takes element c ^ B of its
+// partner row i ^ B elsewhere. Stages B = 1, 2, 4, 8 swap all four bits
+// of the row and column index.
+template <int B, bool kOdd, std::size_t... C>
+Lanes Butterfly(const Lanes& own, const Lanes& partner,
+                std::index_sequence<C...>) {
+  return __builtin_shufflevector(
+      own, partner,
+      (((C & B) != 0) == kOdd ? static_cast<int>(C)
+                              : static_cast<int>(16 + (C ^ B)))...);
+}
+
+template <int B>
+void ButterflyStage(Lanes (&r)[16]) {
+  constexpr auto lanes = std::make_index_sequence<16>();
+  for (int i = 0; i < 16; ++i) {
+    if ((i & B) != 0) continue;
+    const Lanes even = Butterfly<B, false>(r[i], r[i | B], lanes);
+    r[i | B] = Butterfly<B, true>(r[i | B], r[i], lanes);
+    r[i] = even;
+  }
+}
+
+std::int64_t RoundUp(std::int64_t x, std::int64_t m) {
+  return (x + m - 1) / m * m;
+}
+
+// dst[(j / kNr * hd + d) * kNr + j % kNr] = row(j)[d] for j < n, zero in
+// the last tile's lanes past n: 16 x 16 blocks through registers, keys
+// past n read from a zero row, columns past hd masked off.
+template <class RowFn>
+void PackKeyTiles(std::int64_t n, std::int64_t hd, float* dst,
+                  const RowFn& row) {
+  alignas(64) static constexpr float kZeroRow[16] = {};
+  for (std::int64_t j0 = 0; j0 < RoundUp(n, kNr); j0 += 16) {
+    float* tile = dst + j0 / kNr * hd * kNr + j0 % kNr;
+    for (std::int64_t d0 = 0; d0 < hd; d0 += 16) {
+      const LaneMask m = FirstLanes(hd - d0);
+      Lanes r[16];
+      for (int a = 0; a < 16; ++a) {
+        r[a] = LoadLanes(j0 + a < n ? row(j0 + a) + d0 : kZeroRow, m);
+      }
+      ButterflyStage<1>(r);
+      ButterflyStage<2>(r);
+      ButterflyStage<4>(r);
+      ButterflyStage<8>(r);
+      for (std::int64_t b = 0; b < std::min<std::int64_t>(16, hd - d0); ++b) {
+        StoreLanes(tile + (d0 + b) * kNr, r[b], kAllLanes);
+      }
+    }
+  }
+}
+
+// s[r * lds + jj] for r < R, jj < kNr: an fma chain from +0 over d < hd
+// of a[d * R + r] * b[d * kNr + jj] (MicroKernel's tile, stored rather
+// than added).
+template <int R>
+void ChainTile(std::int64_t hd, const float* a, const float* b, float* s,
+               std::int64_t lds) {
+  static_assert(kNr == 32);
+  Lanes acc[R][2] = {};
+  for (std::int64_t d = 0; d < hd; ++d) {
+    const Lanes b0 = LoadLanes(b + d * kNr, kAllLanes);
+    const Lanes b1 = LoadLanes(b + d * kNr + 16, kAllLanes);
+    for (int r = 0; r < R; ++r) {
+      const float av = a[d * R + r];
+      acc[r][0] = FmaLanes(av, b0, acc[r][0]);
+      acc[r][1] = FmaLanes(av, b1, acc[r][1]);
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    StoreLanes(s + r * lds, acc[r][0], kAllLanes);
+    StoreLanes(s + r * lds + 16, acc[r][1], kAllLanes);
+  }
+}
+
+// Scores of one tile of nr <= R rows of a (row stride lda) against
+// packed key tiles: row r of s (stride lds) gets, in columns
+// 0..RoundUp(keys, kNr), each key's chain over d of
+// (scale * a[r][d]) * k[d]. as holds R * hd floats of scratch; rows
+// past nr score a zero query.
+template <int R>
+void ScoreTile(const float* a, std::int64_t lda, std::int64_t nr,
+               std::int64_t keys, std::int64_t hd, float scale,
+               const float* kt, float* as, float* s, std::int64_t lds) {
+  for (std::int64_t d = 0; d < hd; ++d) {
+    for (std::int64_t r = 0; r < R; ++r) {
+      as[d * R + r] = r < nr ? scale * a[r * lda + d] : 0.0f;
+    }
+  }
+  for (std::int64_t j0 = 0; j0 < keys; j0 += kNr) {
+    ChainTile<R>(hd, as, kt + j0 * hd, s + j0, lds);
+  }
+}
+
+// The forward's row routine for one query tile, whose rows r < nr sit at
+// positions base + r: row r of p gets the probabilities of keys
+// 0..base+r, softmaxed by SoftmaxRows' row routine. Its later columns
+// hold raw scores; padding rows are left as scores.
+template <int R>
+void ProbTile(const float* q, std::int64_t ldq, std::int64_t nr,
+              std::int64_t base, std::int64_t hd, float scale,
+              const float* kt, float* qs, float* p, std::int64_t ldp) {
+  ScoreTile<R>(q, ldq, nr, base + nr, hd, scale, kt, qs, p, ldp);
+  std::int64_t len[R];
+  for (std::int64_t r = 0; r < R; ++r) len[r] = r < nr ? base + r + 1 : 0;
+  SoftmaxTile<R>(p, ldp, len);
+}
+
+// wt[j * R + r] = w[r * ldw + j] for j < keys: the tile's weights as
+// the broadcast operand of the loops below (the PackA layout).
+template <int R>
+void TransposeTile(const float* w, std::int64_t ldw, std::int64_t keys,
+                   float* wt) {
+  for (std::int64_t j = 0; j < keys; ++j) {
+    for (std::int64_t r = 0; r < R; ++r) wt[j * R + r] = w[r * ldw + j];
+  }
+}
+
+// out[r * ldo + c] for r < nr, c < hd: an fma chain from +0 over keys
+// j = 0..base+r in order of wt[j * R + r] * row(j)[c].
+template <int R, class RowFn>
+void WeightedRowsTile(const float* wt, std::int64_t nr, std::int64_t base,
+                      const RowFn& row, std::int64_t hd, float* out,
+                      std::int64_t ldo) {
+  for (std::int64_t c0 = 0; c0 < hd; c0 += 32) {
+    // Columns [c0, c0 + 16) and [c1, c1 + 16), masked to the head.
+    const std::int64_t c1 = std::min(c0 + 16, hd);
+    const LaneMask m0 = FirstLanes(hd - c0);
+    const LaneMask m1 = FirstLanes(hd - c1);
+    Lanes acc[R][2] = {};
+    // Keys every row of the tile reaches.
+    for (std::int64_t j = 0; j <= base; ++j) {
+      const Lanes x0 = LoadLanes(row(j) + c0, m0);
+      const Lanes x1 = LoadLanes(row(j) + c1, m1);
+      for (int r = 0; r < R; ++r) {
+        const float w = wt[j * R + r];
+        acc[r][0] = FmaLanes(w, x0, acc[r][0]);
+        acc[r][1] = FmaLanes(w, x1, acc[r][1]);
+      }
+    }
+    // The tile's diagonal: key base + i reaches rows i and later.
+    for (std::int64_t i = 1; i < nr; ++i) {
+      const Lanes x0 = LoadLanes(row(base + i) + c0, m0);
+      const Lanes x1 = LoadLanes(row(base + i) + c1, m1);
+      for (int r = 0; r < R; ++r) {
+        if (r < i) continue;
+        const float w = wt[(base + i) * R + r];
+        acc[r][0] = FmaLanes(w, x0, acc[r][0]);
+        acc[r][1] = FmaLanes(w, x1, acc[r][1]);
+      }
+    }
+    for (std::int64_t r = 0; r < nr; ++r) {
+      StoreLanes(out + r * ldo + c0, acc[r][0], m0);
+      StoreLanes(out + r * ldo + c1, acc[r][1], m1);
+    }
+  }
+}
+
+// One query tile of the forward: probabilities into p (kMr * ldp
+// floats), their transpose into pt, context rows into ctx.
+template <int R>
+void AttendTile(const AttentionSeq& s, std::int64_t i, std::int64_t col,
+                std::int64_t hd, float scale, std::int64_t ldq,
+                std::int64_t ldc, const float* kt, float* qs, float* p,
+                float* pt, std::int64_t ldp) {
+  const std::int64_t nr = std::min<std::int64_t>(R, s.q_len - i);
+  const std::int64_t base = s.pos0 + i;
+  ProbTile<R>(s.q + i * ldq + col, ldq, nr, base, hd, scale, kt, qs, p, ldp);
+  TransposeTile<R>(p, ldp, base + nr, pt);
+  WeightedRowsTile<R>(
+      pt, nr, base, [&](std::int64_t j) { return s.v[j] + col; }, hd,
+      s.ctx + i * ldc + col, ldc);
+}
+}  // namespace
+
+void CausalAttentionForward(std::span<const AttentionSeq> seqs,
+                            std::int64_t heads, std::int64_t hd, float scale,
+                            std::int64_t ldq, std::int64_t ldc) {
+  const auto n_seqs = static_cast<std::int64_t>(seqs.size());
+  ParallelFor(0, n_seqs * heads, 1, [&](std::int64_t t0, std::int64_t t1) {
+    alloc::ScratchArena& scratch = alloc::ThreadScratch();
+    for (std::int64_t task = t0; task < t1; ++task) {
+      alloc::ScratchGuard guard(scratch);
+      const AttentionSeq& s = seqs[static_cast<std::size_t>(task / heads)];
+      const std::int64_t col = task % heads * hd;
+      const std::int64_t keys = s.pos0 + s.q_len;
+      const std::int64_t ldp = RoundUp(keys, kNr);
+      auto alloc = [&](std::int64_t n) {
+        return scratch.AllocateT<float>(static_cast<std::size_t>(n));
+      };
+      float* kt = alloc(ldp * hd);
+      float* qs = alloc(kMr * hd);
+      float* p = alloc(kMr * ldp);
+      float* pt = alloc(ldp * kMr);
+      PackKeyTiles(keys, hd, kt, [&](std::int64_t j) { return s.k[j] + col; });
+      for (std::int64_t i = 0; i < s.q_len; i += kMr) {
+        if (s.q_len - i == 1) {
+          AttendTile<1>(s, i, col, hd, scale, ldq, ldc, kt, qs, p, pt, ldp);
+        } else {
+          AttendTile<kMr>(s, i, col, hd, scale, ldq, ldc, kt, qs, p, pt,
+                          ldp);
+        }
       }
     }
   });
 }
 
-void CausalMaskedSoftmax(float* scores, std::int64_t batch_heads,
-                         std::int64_t q_len, std::int64_t k_len) {
-  ZERO_CHECK(k_len >= q_len, "causal mask assumes k_len >= q_len");
-  const std::int64_t offset = k_len - q_len;
-  ParallelFor(0, batch_heads * q_len, RowGrain(k_len),
-              [&](std::int64_t r0, std::int64_t r1) {
-                for (std::int64_t r = r0; r < r1; ++r) {
-                  const std::int64_t i = r % q_len;
-                  float* row = scores + r * k_len;
-                  for (std::int64_t j = offset + i + 1; j < k_len; ++j) {
-                    row[j] = -std::numeric_limits<float>::infinity();
-                  }
-                  SoftmaxRow(row, k_len);
-                }
-              });
-}
-
-void PackKeyRow(const float* k, std::int64_t heads, std::int64_t hd,
-                float* dst) {
-  for (std::int64_t h = 0; h < heads; ++h) {
-    for (std::int64_t d = 0; d < hd; ++d) dst[d * heads + h] = k[h * hd + d];
-  }
-}
-
-void PagedCausalAttention(std::int64_t q_len, std::int64_t pos0,
-                          std::int64_t heads, std::int64_t hd, float scale,
-                          const float* q, std::int64_t ldq,
-                          const float* const* k_rows,
-                          const float* const* v_rows, float* ctx,
-                          std::int64_t ldc) {
-  // Score tiles: kKeyTile keys x kHeadLanes heads of independent chains.
-  constexpr std::int64_t kKeyTile = 8;
-  constexpr std::int64_t kHeadLanes = 8;
+void CausalAttentionBackward(std::int64_t seqs, std::int64_t seq_len,
+                             std::int64_t heads, std::int64_t hd, float scale,
+                             const float* qkv, const float* dctx,
+                             float* dqkv) {
   const std::int64_t width = heads * hd;
-  const std::int64_t k_len = pos0 + q_len;
-  ParallelFor(0, q_len, RowGrain(k_len * width), [&](std::int64_t t0,
-                                                      std::int64_t t1) {
+  const std::int64_t ld = 3 * width;
+  const std::int64_t hdp = RoundUp(hd, 16);
+  const std::int64_t ldp = RoundUp(seq_len, kNr);
+  ParallelFor(0, seqs * heads, 1, [&](std::int64_t t0, std::int64_t t1) {
     alloc::ScratchArena& scratch = alloc::ThreadScratch();
-    alloc::ScratchGuard guard(scratch);
-    float* qs = scratch.AllocateT<float>(static_cast<std::size_t>(width));
-    float* att =
-        scratch.AllocateT<float>(static_cast<std::size_t>(heads * k_len));
-    float* cacc = scratch.AllocateT<float>(static_cast<std::size_t>(width));
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t len = pos0 + t + 1;
-      // (alpha * a) operand of the score GEMM, dimension-major like K.
-      PackKeyRow(q + t * ldq, heads, hd, qs);
-      for (std::int64_t c = 0; c < width; ++c) qs[c] *= scale;
-      // Scores, att[h * k_len + j]: C starts at +0 (beta = 0) and takes
-      // one chain per kKc block of d. A key's heads are contiguous lanes.
-      for (std::int64_t j0 = 0; j0 < len; j0 += kKeyTile) {
-        const std::int64_t nj = std::min(kKeyTile, len - j0);
-        for (std::int64_t h0 = 0; h0 < heads; h0 += kHeadLanes) {
-          const std::int64_t nh = std::min(kHeadLanes, heads - h0);
-          float s[kKeyTile][kHeadLanes] = {};
-          for (std::int64_t d0 = 0; d0 < hd; d0 += kKc) {
-            const std::int64_t d1 = std::min(hd, d0 + kKc);
-            float acc[kKeyTile][kHeadLanes] = {};
-            for (std::int64_t d = d0; d < d1; ++d) {
-              const float* qd = qs + d * heads + h0;
-              for (std::int64_t jj = 0; jj < nj; ++jj) {
-                const float* kd = k_rows[j0 + jj] + d * heads + h0;
-                for (std::int64_t l = 0; l < nh; ++l) {
-                  acc[jj][l] = std::fma(qd[l], kd[l], acc[jj][l]);
-                }
-              }
-            }
-            for (std::int64_t jj = 0; jj < kKeyTile; ++jj) {
-              for (std::int64_t l = 0; l < kHeadLanes; ++l) {
-                s[jj][l] += acc[jj][l];
-              }
-            }
+    for (std::int64_t task = t0; task < t1; ++task) {
+      alloc::ScratchGuard guard(scratch);
+      const std::int64_t row0 = task / heads * seq_len;
+      const std::int64_t col = task % heads * hd;
+      const float* q = qkv + row0 * ld + col;
+      const float* k = q + width;
+      const float* v = k + width;
+      const float* dout = dctx + row0 * width + col;
+      float* dq = dqkv + row0 * ld + col;
+      auto alloc = [&](std::int64_t n) {
+        return scratch.AllocateT<float>(static_cast<std::size_t>(n));
+      };
+      float* kt = alloc(ldp * hd);
+      float* vt = alloc(ldp * hd);
+      float* dk = alloc(seq_len * hdp);
+      float* dv = alloc(seq_len * hdp);
+      float* qs = alloc(kMr * hd);
+      float* p = alloc(kMr * ldp);
+      float* ds = alloc(kMr * ldp);
+      float* pt = alloc(ldp * kMr);
+      float* dst = alloc(ldp * kMr);
+      PackKeyTiles(seq_len, hd, kt, [&](std::int64_t j) { return k + j * ld; });
+      PackKeyTiles(seq_len, hd, vt, [&](std::int64_t j) { return v + j * ld; });
+      const auto acc_bytes =
+          static_cast<std::size_t>(seq_len * hdp) * sizeof(float);
+      std::memset(dk, 0, acc_bytes);
+      std::memset(dv, 0, acc_bytes);
+      for (std::int64_t i = 0; i < seq_len; i += kMr) {
+        const std::int64_t nr = std::min(kMr, seq_len - i);
+        const std::int64_t keys = i + nr;
+        // P, recomputed by the forward's row routine; then
+        // dP = dO V^T by the same chains (dO needs no scale).
+        ProbTile<kMr>(q + i * ld, ld, nr, i, hd, scale, kt, qs, p, ldp);
+        ScoreTile<kMr>(dout + i * width, width, nr, keys, hd, 1.0f, vt, qs,
+                       ds, ldp);
+        // dS = scale * P (dP - rowsum(P dP)); keys a row does not reach,
+        // and the padding rows, get P = dS = 0.
+        // The rowsums' serial chains run interleaved, as SoftmaxTile's do.
+        float dot[kMr] = {};
+        for (std::int64_t j = 0; j <= i; ++j) {
+          for (int r = 0; r < kMr; ++r) {
+            dot[r] = std::fma(p[r * ldp + j], ds[r * ldp + j], dot[r]);
           }
-          for (std::int64_t jj = 0; jj < nj; ++jj) {
-            for (std::int64_t l = 0; l < nh; ++l) {
-              att[(h0 + l) * k_len + j0 + jj] = s[jj][l];
+        }
+        for (std::int64_t r = 0; r < kMr; ++r) {
+          float* pr = p + r * ldp;
+          float* dr = ds + r * ldp;
+          const std::int64_t len = r < nr ? i + r + 1 : 0;
+          for (std::int64_t j = i + 1; j < len; ++j) {
+            dot[r] = std::fma(pr[j], dr[j], dot[r]);
+          }
+          for (std::int64_t j = 0; j < len; ++j) {
+            dr[j] = scale * pr[j] * (dr[j] - dot[r]);
+          }
+          for (std::int64_t j = len; j < keys; ++j) pr[j] = dr[j] = 0.0f;
+        }
+        TransposeTile<kMr>(p, ldp, keys, pt);
+        TransposeTile<kMr>(ds, ldp, keys, dst);
+        // dQ rows = dS K.
+        WeightedRowsTile<kMr>(
+            dst, nr, i, [&](std::int64_t j) { return k + j * ld; }, hd,
+            dq + i * ld, ld);
+        // dK_j += dS[:, j]^T Q and dV_j += P[:, j]^T dO over the tile's
+        // rows, in row order.
+        for (std::int64_t c0 = 0; c0 < hd; c0 += 16) {
+          const LaneMask m = FirstLanes(hd - c0);
+          Lanes qv[kMr] = {}, dov[kMr] = {};
+          for (std::int64_t r = 0; r < nr; ++r) {
+            qv[r] = LoadLanes(q + (i + r) * ld + c0, m);
+            dov[r] = LoadLanes(dout + (i + r) * width + c0, m);
+          }
+          for (std::int64_t j = 0; j < keys; ++j) {
+            Lanes dkj = LoadLanes(dk + j * hdp + c0, kAllLanes);
+            Lanes dvj = LoadLanes(dv + j * hdp + c0, kAllLanes);
+            for (int r = 0; r < kMr; ++r) {
+              dkj = FmaLanes(dst[j * kMr + r], qv[r], dkj);
+              dvj = FmaLanes(pt[j * kMr + r], dov[r], dvj);
             }
+            StoreLanes(dk + j * hdp + c0, dkj, kAllLanes);
+            StoreLanes(dv + j * hdp + c0, dvj, kAllLanes);
           }
         }
       }
-      // The full forward softmaxes over seq columns, the masked ones at
-      // -inf: they do not move the max, Exp maps them to exactly 0, and
-      // adding 0 leaves the positive sum unchanged.
-      for (std::int64_t h = 0; h < heads; ++h) SoftmaxRow(att + h * k_len, len);
-      // Context: each head's hd columns are the lanes, chained over keys
-      // in kKc blocks. The full forward's extra terms multiply +0
-      // probabilities by finite V entries, so they can at most flip the
-      // sign of a zero chain; C starts at +0, is never -0 after an add,
-      // and so sees neither that sign nor the +0 a fully masked block
-      // adds. Both are skipped.
-      float* out = ctx + t * ldc;
-      for (std::int64_t c = 0; c < width; ++c) out[c] = 0.0f;
-      for (std::int64_t j0 = 0; j0 < len; j0 += kKc) {
-        const std::int64_t j1 = std::min(len, j0 + kKc);
-        for (std::int64_t c = 0; c < width; ++c) cacc[c] = 0.0f;
-        for (std::int64_t j = j0; j < j1; ++j) {
-          const float* vr = v_rows[j];
-          for (std::int64_t h = 0; h < heads; ++h) {
-            const float p = att[h * k_len + j];
-            float* ch = cacc + h * hd;
-            const float* vh = vr + h * hd;
-            for (std::int64_t d = 0; d < hd; ++d) {
-              ch[d] = std::fma(p, vh[d], ch[d]);
-            }
-          }
-        }
-        for (std::int64_t c = 0; c < width; ++c) out[c] += cacc[c];
+      for (std::int64_t j = 0; j < seq_len; ++j) {
+        std::memcpy(dq + j * ld + width, dk + j * hdp,
+                    static_cast<std::size_t>(hd) * sizeof(float));
+        std::memcpy(dq + j * ld + 2 * width, dv + j * hdp,
+                    static_cast<std::size_t>(hd) * sizeof(float));
       }
     }
   });

@@ -6,21 +6,27 @@
 // buffers from thread-local scratch so all four transpose cases hit the
 // same cache-friendly inner loop), and the large kernels partition their
 // output rows across the opt-in intra-op worker pool (parallel_for.hpp).
+// Causal attention is one forward/backward pair over (sequence, head)
+// tasks with the GEMM's kMr x kNr register tile: it reads Q/K/V rows in
+// place and recomputes probabilities in backward, as FlashAttention
+// does, so no [seq, seq] tensor outlives a call.
 //
 // Determinism contract: every kernel returns bitwise-identical results
 // at any worker count. Elementwise and per-row kernels get this for
 // free (each output element is produced by exactly one chunk in serial
 // order); reductions (bias grads, dgamma/dbeta, squared norms, the
 // cross-entropy total) use fixed-size chunks whose partials are
-// combined in chunk-index order on the calling thread. This is what
-// keeps the ZeRO stage-equivalence tests exact while the kernels run
-// parallel. Nothing here requires -ffast-math, and NaN/Inf propagate
+// combined in chunk-index order on the calling thread; the attention
+// backward gives each (sequence, head) task its own dK/dV columns. This
+// is what keeps the ZeRO stage-equivalence tests exact while the kernels
+// run parallel. Nothing here requires -ffast-math, and NaN/Inf propagate
 // exactly (0 * Inf = NaN is preserved — the fp16 overflow detection in
 // the loss scaler depends on seeing it).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "common/half.hpp"
 
@@ -30,14 +36,13 @@ namespace zero::tensor {
 // op(X) = X or X^T according to the trans flags; dimensions m/n/k always
 // refer to the post-op shapes. Row-major storage.
 //
-// Accumulation contract, shared by every GEMM entry point below and by
-// PagedCausalAttention (DESIGN.md §9): after beta is applied, each C
-// element takes, for every kKc-long block of the k range in order, one
-// fresh explicit-fma chain acc = fma(alpha * op(A)[i,kk], op(B)[kk,j],
-// acc) over the block's kk in order, then C += acc. An element's bits
+// Accumulation contract, shared by every GEMM entry point below
+// (DESIGN.md §9): after beta is applied, each C element takes, for
+// every kKc-long block of the k range in order, one fresh explicit-fma
+// chain acc = fma(alpha * op(A)[i,kk], op(B)[kk,j], acc) over the
+// block's kk in order, then C += acc. An element's bits
 // therefore depend only on its row of op(A), its column of op(B), alpha
-// and k: never on m, n, the small/blocked dispatch or the weight
-// layout. Any row subset of a GEMM is bitwise the same rows of the
+// and k: never on m, n or the weight layout. Any row subset of a GEMM is bitwise the same rows of the
 // full GEMM.
 void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const float* a, const float* b,
@@ -87,30 +92,51 @@ void GemmQuantPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,
                       float alpha, const float* a, const std::byte* panels,
                       float beta, float* c);
 
-// Writes a head-major K row (head h at columns [h*hd, (h+1)*hd)) in the
-// dimension-major order PagedCausalAttention reads, dst[d * heads + h],
-// so one key's heads are contiguous SIMD lanes.
-void PackKeyRow(const float* k, std::int64_t heads, std::int64_t hd,
-                float* dst);
+// Causal attention: the one implementation behind training, eval,
+// prefill and decode.
+//
+// One sequence of a batch. Its q_len query rows sit at positions
+// pos0..pos0+q_len-1, and the query at position p attends keys 0..p.
+// Rows are head-major, head h at columns [h*hd, (h+1)*hd): query row t
+// at q + t * ldq, key and value row j at k[j] and v[j], context row t
+// at ctx + t * ldc. The key/value tables hold pos0 + q_len rows at any
+// addresses: a dense sequence's table lists its own rows, a paged
+// cache's points into its blocks.
+struct AttentionSeq {
+  std::int64_t pos0 = 0;
+  std::int64_t q_len = 0;
+  const float* q = nullptr;
+  const float* const* k = nullptr;
+  const float* const* v = nullptr;
+  float* ctx = nullptr;
+};
 
-// Causal attention of one sequence's new tokens against its paged K/V
-// rows, read in place (serving decode). Token t of the q_len new tokens
-// sits at position pos0 + t and attends keys 0..pos0+t. Row t of q
-// (q + t * ldq) holds the heads' queries head-major, hd floats each;
-// k_rows[j] points at key j's cached K row as PackKeyRow writes it, and
-// v_rows[j] at its V row, head-major. Row t of ctx (ctx + t * ldc)
-// receives the context vectors, head-major. Scores are computed as
-// Gemm(false, true, ..., alpha = scale) computes them, softmaxed as
-// CausalMaskedSoftmax does, and the context as Gemm(false, false, ...,
-// alpha = 1) over the probabilities, so every output is bitwise the
-// full-sequence forward's. Keys past a query's position contribute +0
-// terms there, which leave its sums unchanged.
-void PagedCausalAttention(std::int64_t q_len, std::int64_t pos0,
-                          std::int64_t heads, std::int64_t hd, float scale,
-                          const float* q, std::int64_t ldq,
-                          const float* const* k_rows,
-                          const float* const* v_rows, float* ctx,
-                          std::int64_t ldc);
+// Row contract (DESIGN.md §9). For the query at position p and head h:
+//   s_j    = fma chain from +0 over d = 0..hd-1 of (scale * q[d]) * k_j[d],
+//            for each key j <= p;
+//   prob   = SoftmaxRows' row routine over exactly those p + 1 scores;
+//   ctx[d] = fma chain from +0 over j = 0..p of prob_j * v_j[d].
+// An output row's bits therefore depend only on its query row, key and
+// value rows 0..p and scale: never on pos0, q_len, the other sequences
+// or the worker count, so decoding a token gives bitwise the row the
+// full-sequence forward gives. Parallel over (sequence, head); key
+// tiles past a query tile's last position are skipped.
+void CausalAttentionForward(std::span<const AttentionSeq> seqs,
+                            std::int64_t heads, std::int64_t hd, float scale,
+                            std::int64_t ldq, std::int64_t ldc);
+
+// Backward of CausalAttentionForward over `seqs` dense sequences of
+// seq_len rows each, read in place from the qkv projection: row r of
+// qkv holds q | k | v, each [heads * hd] head-major; row r of dctx is
+// the context gradient [heads * hd]. Overwrites dqkv (qkv's layout) with
+// dQ | dK | dV. Each probability row is recomputed by the forward's row
+// routine, so nothing [seq_len, seq_len] is kept between the passes.
+// Parallel over (sequence, head); a task owns its head's dQ/dK/dV
+// columns, so the result does not depend on the worker count.
+void CausalAttentionBackward(std::int64_t seqs, std::int64_t seq_len,
+                             std::int64_t heads, std::int64_t hd, float scale,
+                             const float* qkv, const float* dctx,
+                             float* dqkv);
 
 // x[rows, cols] += bias[cols] broadcast over rows.
 void AddBiasRows(float* x, const float* bias, std::int64_t rows,
@@ -145,16 +171,9 @@ void LayerNormBackward(const float* x, const float* gamma, const float* mean,
                        float* dgamma, float* dbeta, std::int64_t rows,
                        std::int64_t cols);
 
-// In-place row-wise softmax.
+// In-place row-wise softmax: max, Exp(x - max), a serial sum, then one
+// multiply by its reciprocal. The attention kernels run this row routine.
 void SoftmaxRows(float* x, std::int64_t rows, std::int64_t cols);
-// dx from saved softmax output y. dx may alias dy.
-void SoftmaxBackwardRows(const float* y, const float* dy, float* dx,
-                         std::int64_t rows, std::int64_t cols);
-
-// scores[b, i, j] for b in [0, batch_heads): mask j > i to -inf, then
-// softmax each row — causal attention.
-void CausalMaskedSoftmax(float* scores, std::int64_t batch_heads,
-                         std::int64_t q_len, std::int64_t k_len);
 
 // Mean cross-entropy over rows; writes dlogits = (softmax - onehot)/rows.
 // dlogits may be null (loss only). Probability rows live in thread-local

@@ -3,6 +3,8 @@
 // TrainResult.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <string>
 
@@ -30,7 +32,9 @@ TrainOptions SmallOptions() {
 }
 
 TEST(TrainerFaultTest, PeriodicCheckpointingWritesElasticState) {
-  const std::string path = testing::TempDir() + "zero_trainer_ckpt.bin";
+  // Per-process name: concurrent copies of this suite must not collide.
+  const std::string path = testing::TempDir() + "zero_trainer_ckpt_" +
+                           std::to_string(::getpid()) + ".bin";
   TrainOptions opts = SmallOptions();
   opts.engine.checkpoint_every_n_steps = 2;
   opts.engine.checkpoint_path = path;

@@ -1,7 +1,7 @@
 // Brute-force reference checks for the GPT block: attention computed
 // element by element from first principles, compared against the
-// library's blocked/split-head implementation through the public
-// FlatParamModel interface.
+// library's tiled causal-attention kernel (tensor::CausalAttention*)
+// through the public FlatParamModel interface.
 #include <gtest/gtest.h>
 
 #include <cmath>

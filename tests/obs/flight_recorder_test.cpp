@@ -5,6 +5,7 @@
 #include "obs/flight_recorder.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <fstream>
 #include <span>
@@ -40,8 +41,9 @@ class FlightRecorderTest : public ::testing::Test {
     SetThreadLogRank(-1);
   }
 
+  // Per-process, so concurrent copies of this suite do not collide.
   static std::string UniqueDir(const std::string& leaf) {
-    return testing::TempDir() + leaf;
+    return testing::TempDir() + leaf + "_" + std::to_string(::getpid());
   }
 };
 

@@ -4,6 +4,7 @@
 #include "obs/timeline.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstring>
@@ -53,6 +54,12 @@ std::string Slurp(const std::string& path) {
   return ss.str();
 }
 
+// Per-process temp file, so concurrent copies of this suite do not
+// collide.
+std::string TempPath(const std::string& leaf) {
+  return testing::TempDir() + std::to_string(::getpid()) + "_" + leaf;
+}
+
 // Three rank threads record; the per-rank exporter must map rank r to
 // pid r+1 and the file must pass the strict validator.
 TEST_F(TimelineTest, MultiRankTraceFileMapsRankToPid) {
@@ -69,7 +76,7 @@ TEST_F(TimelineTest, MultiRankTraceFileMapsRankToPid) {
   for (std::thread& t : ranks) t.join();
   DisableTracing();
 
-  const std::string path = testing::TempDir() + "zero_timeline_trace.json";
+  const std::string path = TempPath("zero_timeline_trace.json");
   ASSERT_TRUE(WriteChromeTraceFile(path));
   std::string error;
   ASSERT_TRUE(ValidateChromeTraceFile(path, &error)) << error;
@@ -101,7 +108,7 @@ TEST_F(TimelineTest, MergedTimelineFilePassesStrictValidator) {
   for (std::thread& t : ranks) t.join();
   DisableTracing();
 
-  const std::string path = testing::TempDir() + "zero_merged_timeline.json";
+  const std::string path = TempPath("zero_merged_timeline.json");
   ASSERT_TRUE(WriteMergedTimelineFile(path));
   std::string error;
   ASSERT_TRUE(ValidateChromeTraceFile(path, &error)) << error;

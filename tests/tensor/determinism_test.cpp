@@ -107,6 +107,34 @@ TEST(DeterminismTest, FusedBiasActivationBitwise) {
   });
 }
 
+TEST(DeterminismTest, CausalAttentionForwardBackwardBitwise) {
+  Rng rng(31);
+  const std::int64_t seqs = 3, s = 70, heads = 3, hd = 20;
+  const std::int64_t width = heads * hd;
+  const auto qkv = RandomVec(static_cast<std::size_t>(seqs * s * 3 * width),
+                             rng);
+  const auto dctx = RandomVec(static_cast<std::size_t>(seqs * s * width), rng);
+  std::vector<const float*> k(static_cast<std::size_t>(seqs * s));
+  std::vector<const float*> v(k.size());
+  for (std::size_t r = 0; r < k.size(); ++r) {
+    k[r] = qkv.data() + static_cast<std::int64_t>(r) * 3 * width + width;
+    v[r] = k[r] + width;
+  }
+  ExpectBitwiseStable([&] {
+    std::vector<float> out(static_cast<std::size_t>(seqs * s * 4 * width));
+    std::vector<AttentionSeq> views;
+    for (std::int64_t b = 0; b < seqs; ++b) {
+      views.push_back({0, s, qkv.data() + b * s * 3 * width,
+                       k.data() + b * s, v.data() + b * s,
+                       out.data() + b * s * width});
+    }
+    CausalAttentionForward(views, heads, hd, 0.2236068f, 3 * width, width);
+    CausalAttentionBackward(seqs, s, heads, hd, 0.2236068f, qkv.data(),
+                            dctx.data(), out.data() + seqs * s * width);
+    return out;
+  });
+}
+
 TEST(DeterminismTest, ReductionsBitwise) {
   Rng rng(17);
   const std::int64_t n = 100000;  // several kRedChunk chunks

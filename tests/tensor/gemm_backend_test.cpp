@@ -2,8 +2,8 @@
 //
 // The contract under test (gemm_backend.hpp, kernels.hpp): every
 // backend's GemmWeightT is bitwise Gemm(false, true, ...) on the fp32
-// rows its DecodeRow returns — one accumulation order — on both sides
-// of Gemm's small-GEMM / packed-GEMM split, and each DecodeRow
+// rows its DecodeRow returns — one accumulation order — at tiny and
+// multi-panel shapes alike, and each DecodeRow
 // reproduces its precision's rounding of the source rows (exact for
 // fp32, RNE Half for fp16, the per-row blockwise wire round trip for
 // int8). The registry is the Dali-style name dispatch the serving
@@ -130,14 +130,14 @@ TEST(GemmBackendRegistry, ReRegistrationLatestWins) {
 struct GemmShape {
   std::int64_t m, n, k;
 };
-// Both sides of the kSmallGemmFlops dispatch, ragged shapes that force
-// partial panels and partial k-blocks, a decode-style single row, and
-// one matrix spanning two kNc column blocks.
+// Tiny and panel-aligned shapes, ragged shapes that force partial
+// panels and partial k-blocks, a decode-style single row, and one
+// matrix spanning two kNc column blocks.
 const GemmShape kMatrixShapes[] = {
-    {2, 8, 8},       // small-GEMM path
-    {8, 96, 64},     // packed path, panel-aligned n
-    {4, 33, 129},    // small-path ragged: partial panel + odd k
-    {8, 33, 129},    // packed-path ragged (just over the flops threshold)
+    {2, 8, 8},       // tiny: one partial panel
+    {8, 96, 64},     // panel-aligned n
+    {4, 33, 129},    // ragged: partial panel + odd k
+    {8, 33, 129},    // ragged, two row panels
     {1, 40, 160},    // decode-style m=1 row
     {1, 4100, 72},   // two column blocks, short last quant block
 };

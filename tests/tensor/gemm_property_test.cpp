@@ -48,8 +48,8 @@ struct Shape {
 };
 
 TEST(GemmPropertyTest, MatchesNaiveAcrossShapesAndTransposes) {
-  // Shapes straddle the small-GEMM fallback threshold and exercise
-  // ragged micro-tile edges (m % 4, n % 32, k % 128 all nonzero).
+  // Tiny shapes and ragged micro-tile edges (m % 4, n % 32, k % 128
+  // all nonzero).
   const Shape shapes[] = {
       {1, 1, 1},    {3, 5, 7},     {4, 32, 16},  {5, 33, 17},
       {17, 9, 40},  {31, 70, 19},  {64, 64, 64}, {65, 130, 129},
@@ -91,11 +91,11 @@ TEST(GemmPropertyTest, MatchesNaiveAcrossShapesAndTransposes) {
 
 // Regression for the seed kernel's `if (aik == 0.0f) continue;` skip:
 // a zero in A times an Inf in B must produce NaN in C, not silently
-// drop the term. Checked on both the small fallback and the packed
-// path, for every transpose case.
+// drop the term. Checked on a tiny and a multi-panel shape, for every
+// transpose case.
 TEST(GemmPropertyTest, ZeroTimesInfProducesNan) {
   const float inf = std::numeric_limits<float>::infinity();
-  const Shape shapes[] = {{4, 5, 6}, {48, 96, 160}};  // small / packed
+  const Shape shapes[] = {{4, 5, 6}, {48, 96, 160}};
   for (const Shape& s : shapes) {
     for (bool ta : {false, true}) {
       for (bool tb : {false, true}) {
@@ -140,8 +140,7 @@ TEST(GemmPropertyTest, SingleInfPoisonsOnlyItsColumn) {
 }
 
 // The accumulation contract (kernels.hpp): row i of C depends only on
-// row i of op(A), op(B), alpha and k — not on m, and so not on which
-// side of the small/blocked dispatch a call lands. A GEMM over any row
+// row i of op(A), op(B), alpha and k — not on m. A GEMM over any row
 // subset of op(A) must therefore reproduce those rows of the full GEMM
 // bitwise; serving decode relies on it (a few rows per step against the
 // eval forward's whole sequence). k runs past 3 * kKc (kKc = 128), and
@@ -150,9 +149,8 @@ TEST(GemmPropertyTest, RowSubsetsBitwiseEqualFullGemm) {
   struct Nk {
     std::int64_t n, k;
   };
-  // With m = 70: (8, 16) keeps every call small; (96, 129) and (40, 400)
-  // put the full GEMM on the blocked path and 1-row subsets on the small
-  // one; (96, 129) with 37 rows is blocked on both sides.
+  // With m = 70: a tiny (8, 16), ragged panels and k-blocks (96, 129),
+  // k past 3 * kKc (40, 400), and whole panels (33, 256).
   const Nk nks[] = {{8, 16}, {96, 129}, {40, 400}, {33, 256}};
   struct Rows {
     std::int64_t begin, count;
